@@ -1,25 +1,16 @@
 #!/usr/bin/env bash
-# Documentation gate, two parts:
+# Documentation gate, CLI-flag inventory: every user-facing "--flag"
+# string literal parsed by the bench binaries or slambench_cli must
+# appear somewhere in the markdown docs (README.md, EXPERIMENTS.md,
+# DESIGN.md, docs/*.md). Catches the classic drift where a flag is
+# added or renamed in code and the docs keep describing the old
+# surface. Pure grep, no dependencies.
 #
-#  1. CLI-flag inventory: every user-facing "--flag" string literal
-#     parsed by the bench binaries or slambench_cli must appear
-#     somewhere in the markdown docs (README.md, EXPERIMENTS.md,
-#     DESIGN.md, docs/*.md). Catches the classic drift where a flag
-#     is added or renamed in code and the docs keep describing the
-#     old surface. Pure grep, no dependencies.
-#
-#  2. Doxygen: build the API docs and fail on any warning (the
-#     Doxyfile sets WARN_IF_UNDOCUMENTED). Skipped with exit 77
-#     (CTest SKIP_RETURN_CODE) when doxygen is not installed so the
-#     tier-1 run stays green on minimal containers — the flag
-#     inventory above still runs everywhere.
-#
-# Registered as the `check_docs` CTest entry.
+# Registered as the `check_docs_flags` CTest entry; its sibling
+# `check_docs_doxygen` (scripts/check_doxygen.sh) builds the API docs.
 set -u
 
 cd "$(dirname "$0")/.."
-
-# --- 1. CLI-flag inventory -------------------------------------------
 
 # Flags are parsed as string literals ("--frames", ...) in the bench
 # sources, the CLI example, and the serve binary; single-dash aliases
@@ -51,27 +42,3 @@ if [ "$missing" -gt 0 ]; then
     exit 1
 fi
 echo "check_docs: flag inventory clean ($(echo "$flags" | wc -l) flags)"
-
-# --- 2. Doxygen ------------------------------------------------------
-
-if ! command -v doxygen >/dev/null 2>&1; then
-    echo "check_docs: doxygen not installed; skipping" >&2
-    exit 77
-fi
-
-log=$(mktemp)
-trap 'rm -f "$log"' EXIT
-
-if ! doxygen Doxyfile >/dev/null 2>"$log"; then
-    echo "check_docs: doxygen failed:" >&2
-    cat "$log" >&2
-    exit 1
-fi
-
-if [ -s "$log" ]; then
-    echo "check_docs: doxygen warnings:" >&2
-    cat "$log" >&2
-    exit 1
-fi
-
-echo "check_docs: doxygen clean"

@@ -2,7 +2,8 @@
 # Smoke test of per-frame request tracing (docs/OBSERVABILITY.md,
 # "Request tracing"):
 #
-#  A. soak slambench_serve with tracing armed at sample rate 0 and an
+#  A. soak slambench_serve (until SIGTERM, sent once every query
+#     below has run) with tracing armed at sample rate 0 and an
 #     impossible frame-p99 SLO so that EVERY frame breaches: tail
 #     retention must keep each trace anyway. Scrape /metrics until a
 #     tenant latency histogram carries an OpenMetrics exemplar
@@ -50,6 +51,13 @@ fail() {
 have_python=0
 command -v python3 >/dev/null 2>&1 && have_python=1
 
+# scrape exit codes: 0 = HTTP 2xx (body on stdout), 3 = the server
+# answered with an HTTP error (body still on stdout), 4 = transport
+# failed (no server, refused, timed out), so a dead server is never
+# mistaken for a 404.
+scrape_http_error=3
+scrape_transport_failed=4
+
 scrape() {
     local port="$1" path="$2"
     if [ "$have_python" -eq 1 ]; then
@@ -62,12 +70,22 @@ try:
 except urllib.error.HTTPError as exc:
     sys.stdout.write(exc.read().decode())
     sys.exit(3)
+except OSError as exc:
+    sys.stderr.write("scrape: transport failed: %s\n" % exc)
+    sys.exit(4)
 ' "$port" "$path"
     else
-        exec 3<>"/dev/tcp/127.0.0.1/$port" || return 1
+        exec 3<>"/dev/tcp/127.0.0.1/$port" \
+            || return "$scrape_transport_failed"
         printf 'GET %s HTTP/1.0\r\n\r\n' "$path" >&3
+        local status
+        read -r _ status _ <&3 || {
+            exec 3<&- 3>&-
+            return "$scrape_transport_failed"
+        }
         sed '1,/^\r\{0,1\}$/d' <&3
         exec 3<&- 3>&-
+        [ "${status:-0}" -lt 400 ] || return "$scrape_http_error"
     fi
 }
 
@@ -90,8 +108,10 @@ tenants=4
 
 # Sample rate 0 means head sampling keeps NOTHING; the 0.0001 ms p99
 # SLO means every frame breaches it, so anything retrievable below
-# proves the tail-based always-keep path, not sampling luck.
-"$serve" --serve-tenants "$tenants" --serve-ticks 50 \
+# proves the tail-based always-keep path, not sampling luck. The soak
+# serves until SIGTERM so it outlives every query below, however fast
+# its set-up and ticks run.
+"$serve" --serve-tenants "$tenants" --serve-ticks 0 \
     --trace-requests --trace-sample-rate 0 \
     --slo-frame-p99-ms 0.0001 \
     --telemetry-port 0 --metrics-json trace_soak.json \
@@ -165,10 +185,14 @@ grep -q '"matches": 0' by_floor.json \
 
 # Unknown trace ids answer 404 with a well-formed empty result.
 if [ "$have_python" -eq 1 ]; then
-    if scrape "$port" "/tracez?trace_id=ffffffffffffffff" \
-            > missing.json 2>/dev/null; then
-        fail "unknown trace id did not 404"
-    fi
+    rc=0
+    scrape "$port" "/tracez?trace_id=ffffffffffffffff" \
+        > missing.json || rc=$?
+    [ "$rc" -ne 0 ] || fail "unknown trace id did not 404"
+    [ "$rc" -ne "$scrape_transport_failed" ] || {
+        cat soak.log >&2
+        fail "unknown trace id query: transport failed"
+    }
     grep -q '"matches": 0' missing.json \
         || { cat missing.json >&2; fail "404 body not empty result"; }
 fi
@@ -178,8 +202,16 @@ scrape "$port" /tracez > index.json || fail "/tracez scrape failed"
 grep -q '"request_tracing"' index.json \
     || { cat index.json >&2; fail "index missing request_tracing"; }
 
-wait "$soak_pid" || fail "traced soak exited non-zero"
+# Graceful drain: TERM finishes the in-flight tick, writes the
+# report and exits 0.
+kill -TERM "$soak_pid"
+status=0
+wait "$soak_pid" || status=$?
 pids=""
+[ "$status" -eq 0 ] || {
+    cat soak.log >&2
+    fail "traced soak exit status $status after SIGTERM, want 0"
+}
 echo "trace_query_smoke: phase A ok (port $port)"
 
 # --- Phase B: tracing overhead gate at default sample rate --------

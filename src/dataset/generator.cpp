@@ -1,6 +1,7 @@
 #include "dataset/generator.hpp"
 
 #include "support/logging.hpp"
+#include "support/trace.hpp"
 
 namespace slambench::dataset {
 
@@ -19,6 +20,9 @@ makeScene(SceneId id)
 Sequence
 generateSequence(const SequenceSpec &spec)
 {
+    // Phase span: the renderer's row chunks on pool workers are
+    // traced as Worker spans under this name, never as Kernel spans.
+    TRACE_SCOPE("dataset.synthesis");
     Sequence seq;
     seq.spec = spec;
     seq.intrinsics = math::CameraIntrinsics::fromFov(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/thread_pool.hpp"
+
 namespace slambench::dataset {
 
 using math::Vec3f;
@@ -48,7 +50,10 @@ renderFrame(const Scene &scene, const CameraIntrinsics &intrinsics,
     const Vec3f origin = camera_to_world.translationPart();
     const float far_clip = scene.farClip();
 
-    for (size_t y = 0; y < h; ++y) {
+    // Rows run in parallel on the shared pool. Each pixel writes only
+    // its own slots of the output images and reads only the immutable
+    // scene, so the result is byte-identical to a serial scan.
+    support::ThreadPool::global().parallelFor(0, h, [&](size_t y) {
         for (size_t x = 0; x < w; ++x) {
             const Vec3f dir_cam = intrinsics.rayDir(
                 static_cast<float>(x) + 0.5f,
@@ -91,7 +96,7 @@ renderFrame(const Scene &scene, const CameraIntrinsics &intrinsics,
                           n, dir);
             }
         }
-    }
+    });
     return result;
 }
 

@@ -50,6 +50,10 @@ struct RenderResult
 /**
  * Render one RGB-D frame of @p scene.
  *
+ * Rows are rendered in parallel on support::ThreadPool::global(); the
+ * output is byte-identical to a serial scan. Safe to call from any
+ * thread, including from inside a task on that pool.
+ *
  * @param scene Scene to render.
  * @param intrinsics Pinhole camera model (sets the image size).
  * @param camera_to_world Camera pose.

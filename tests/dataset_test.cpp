@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "dataset/generator.hpp"
 #include "dataset/noise.hpp"
@@ -17,6 +19,7 @@
 #include "dataset/scene.hpp"
 #include "dataset/sdf.hpp"
 #include "dataset/trajectory.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -25,6 +28,7 @@ using slambench::math::Mat4f;
 using slambench::math::Vec3f;
 using slambench::support::Image;
 using slambench::support::Rng;
+using slambench::support::ThreadPool;
 
 // --- SDF primitives ---
 
@@ -300,6 +304,158 @@ TEST_F(RendererFixture, PrimitiveIdsAreValid)
         EXPECT_GE(r.primitive[i], 0);
         EXPECT_LT(r.primitive[i], static_cast<int>(scene_.size()));
     }
+}
+
+// --- Renderer bit-exactness ---
+//
+// The digests below were recorded from the serial per-pixel renderer
+// (one `for (y ...) for (x ...)` loop on the calling thread). The
+// row-parallel renderer must reproduce them byte for byte.
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/** 64-bit FNV-1a over the raw pixel bytes of @p image. */
+template <typename T>
+uint64_t
+fnv1a(const Image<T> &image, uint64_t hash = kFnvOffset)
+{
+    static_assert(sizeof(slambench::support::Rgb8) == 3,
+                  "Rgb8 must be tightly packed for a stable digest");
+    const auto *bytes =
+        reinterpret_cast<const unsigned char *>(image.data());
+    for (size_t i = 0; i < image.size() * sizeof(T); ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+struct FrameDigests
+{
+    uint64_t depth;
+    uint64_t cosIncidence;
+    uint64_t primitive;
+    uint64_t rgb;
+};
+
+/** Render one 320x240 orbit-a frame of @p scene at pose @p index. */
+FrameDigests
+digestFrame(const Scene &scene, size_t index)
+{
+    const auto intrinsics =
+        slambench::math::CameraIntrinsics::fromFov(320, 240, 1.02f);
+    const Trajectory traj = Trajectory::fromSpline(
+        presetSpec(TrajectoryPreset::OrbitA), 60, 30.0);
+    const RenderResult r =
+        renderFrame(scene, intrinsics, traj.pose(index));
+    return {fnv1a(r.depth), fnv1a(r.cosIncidence), fnv1a(r.primitive),
+            fnv1a(r.rgb)};
+}
+
+void
+expectDigests(const FrameDigests &got, const FrameDigests &want)
+{
+    EXPECT_EQ(got.depth, want.depth);
+    EXPECT_EQ(got.cosIncidence, want.cosIncidence);
+    EXPECT_EQ(got.primitive, want.primitive);
+    EXPECT_EQ(got.rgb, want.rgb);
+}
+
+TEST(Renderer, LivingRoomFrameDigest)
+{
+    const Scene scene = livingRoomScene();
+    expectDigests(digestFrame(scene, 0),
+                  {0x6e3c493e0b78adf6ULL, 0x7460587314fe3cf7ULL,
+                   0x07aabf1ea66e289cULL, 0xa4ee1dd6937bb94eULL});
+    expectDigests(digestFrame(scene, 30),
+                  {0x9ae19009568bd382ULL, 0x5ef671203d690612ULL,
+                   0x8b3640b4fab6f515ULL, 0x0dbd30c171505b90ULL});
+}
+
+TEST(Renderer, OfficeFrameDigest)
+{
+    const Scene scene = officeScene();
+    expectDigests(digestFrame(scene, 0),
+                  {0x809aa921ba6c0ea0ULL, 0xadd14f0b7c8aae7fULL,
+                   0x1ddda16fa8f39aeaULL, 0xe175a03854496dcbULL});
+    expectDigests(digestFrame(scene, 30),
+                  {0xe1299558850e88b1ULL, 0x0a591b5a3f19e9f8ULL,
+                   0xd8c754baf7ee2a74ULL, 0x371669ab37d0e573ULL});
+}
+
+TEST(Renderer, NoisySequenceDigest)
+{
+    SequenceSpec spec; // 320x240 living room, orbit-a, seed 42
+    spec.numFrames = 5;
+    const Sequence seq = generateSequence(spec);
+    uint64_t hash = kFnvOffset;
+    for (const Frame &frame : seq.frames)
+        hash = fnv1a(frame.depthMm, hash);
+    EXPECT_EQ(hash, 0x98ba2244ec2cece3ULL);
+}
+
+/** Byte-for-byte equality of two images (sizes and pixel bytes). */
+template <typename T>
+bool
+sameBytes(const Image<T> &a, const Image<T> &b)
+{
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+void
+expectSameSequence(const Sequence &got, const Sequence &want)
+{
+    ASSERT_EQ(got.frames.size(), want.frames.size());
+    for (size_t f = 0; f < want.frames.size(); ++f) {
+        EXPECT_TRUE(sameBytes(got.frames[f].depthMm,
+                              want.frames[f].depthMm))
+            << "frame " << f;
+        EXPECT_TRUE(sameBytes(got.frames[f].rgb, want.frames[f].rgb))
+            << "frame " << f;
+        EXPECT_EQ(got.frames[f].timestamp, want.frames[f].timestamp);
+    }
+}
+
+/** Small noisy RGB-D spec for the concurrency tests. */
+SequenceSpec
+smallSpec()
+{
+    SequenceSpec spec;
+    spec.width = 80;
+    spec.height = 60;
+    spec.numFrames = 4;
+    spec.seed = 7;
+    return spec;
+}
+
+TEST(Renderer, ConcurrentGenerateSequenceMatchesSingleThreaded)
+{
+    const SequenceSpec spec = smallSpec();
+    const Sequence reference = generateSequence(spec);
+    std::vector<Sequence> results(3);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < results.size(); ++i)
+        threads.emplace_back(
+            [&results, &spec, i] { results[i] = generateSequence(spec); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const Sequence &result : results)
+        expectSameSequence(result, reference);
+}
+
+TEST(Renderer, NestedGenerateSequenceMatchesSingleThreaded)
+{
+    const SequenceSpec spec = smallSpec();
+    const Sequence reference = generateSequence(spec);
+    // The render's row loop opens a region on the shared pool from
+    // inside a task already running on it.
+    ThreadPool &pool = ThreadPool::global();
+    ThreadPool::TaskGroup group;
+    Sequence nested;
+    pool.submit(group, [&nested, &spec] { nested = generateSequence(spec); });
+    pool.wait(group);
+    expectSameSequence(nested, reference);
 }
 
 // --- Noise model ---
