@@ -5,7 +5,8 @@
  * @file
  * Shared scaffolding for the figure-regeneration benches: the
  * canonical workload, the default and tuned configurations, and
- * tiny argument parsing.
+ * tiny argument parsing. `slambench_cli` and `slambench_serve` parse
+ * their shared flags through the same helpers.
  */
 
 #include <cstdio>
@@ -93,6 +94,17 @@ argLong(int argc, char **argv, const char *name, long fallback)
         if (std::strcmp(argv[i], name) == 0)
             return std::atol(argv[i + 1]);
     return fallback;
+}
+
+/** Parse a "--name N" size option; exits naming the flag if N < 1. */
+inline size_t
+argCount(int argc, char **argv, const char *name, size_t fallback)
+{
+    const long value = argLong(argc, argv, name, static_cast<long>(fallback));
+    if (value < 1)
+        support::fatal(std::string(argv[0]) + ": " + name +
+                       " must be >= 1");
+    return static_cast<size_t>(value);
 }
 
 /** @return true when the flag is present. */
@@ -194,21 +206,19 @@ dseThreadsFromArgs(int argc, char **argv)
 }
 
 /**
- * Arm per-kernel tracing from the shared bench flags:
- *
- *   --trace FILE      chrome://tracing span timeline (JSON)
- *   --perf-csv FILE   per-frame per-kernel host-time aggregate (CSV)
- *
- * Keep the returned session alive for the whole measured run; the
- * files are written when it goes out of scope. With neither flag the
- * session is inert and tracing stays disabled.
+ * Arm per-kernel tracing from the shared `--trace FILE` flag: a
+ * chrome://tracing span timeline (JSON) whose kernel spans carry
+ * their frame index, so per-(frame, kernel) host time is recoverable
+ * from it (docs/OBSERVABILITY.md). Keep the returned session alive
+ * for the whole measured run; the file is written when it goes out
+ * of scope. Without the flag the session is inert and tracing stays
+ * disabled.
  */
 inline support::trace::Session
 traceSessionFromArgs(int argc, char **argv)
 {
     return support::trace::Session(
-        argString(argc, argv, "--trace", ""),
-        argString(argc, argv, "--perf-csv", ""));
+        argString(argc, argv, "--trace", ""));
 }
 
 /**

@@ -57,8 +57,7 @@ main(int argc, char **argv)
 {
     applyLogFlags(argc, argv);
     const bool quick = argFlag(argc, argv, "--quick");
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", quick ? 10 : 30));
+    const size_t frames = argCount(argc, argv, "--frames", quick ? 10 : 30);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
     // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).

@@ -27,8 +27,7 @@ main(int argc, char **argv)
     using namespace slambench::bench;
 
     applyLogFlags(argc, argv);
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", 30));
+    const size_t frames = argCount(argc, argv, "--frames", 30);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
     // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).

@@ -14,27 +14,20 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
-#include <fstream>
-
+#include "bench_common.hpp"
 #include "core/benchmark.hpp"
-#include "core/report.hpp"
 #include "core/odometry.hpp"
+#include "core/report.hpp"
 #include "core/slam_system.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
-#include "kfusion/backend.hpp"
 #include "kfusion/mesh.hpp"
-#include "kfusion/volume_backend.hpp"
 #include "metrics/reconstruction.hpp"
 #include "support/logging.hpp"
 #include "support/strings.hpp"
-#include "support/telemetry_server.hpp"
-#include "support/trace.hpp"
 
 namespace {
 
@@ -88,8 +81,6 @@ usage()
         "  --align                  also report rigidly aligned ATE\n"
         "  --trace FILE             chrome://tracing span timeline "
         "(JSON)\n"
-        "  --perf-csv FILE          per-frame per-kernel host-time "
-        "aggregate (CSV)\n"
         "  --pmu                    hardware-counter profiling: "
         "per-kernel IPC,\n"
         "                           cache/branch miss rates, bytes/s "
@@ -128,43 +119,10 @@ usage()
         "  --quiet                  warnings only (suppress INFO "
         "output-path lines)\n"
         "  --verbose                DEBUG logging\n"
-        "  --log FILE               per-frame metric log (CSV)\n"
         "  --dump-trajectory FILE   estimated trajectory (TUM)\n"
         "  --dump-groundtruth FILE  ground truth (TUM)\n"
         "  --dump-mesh FILE         reconstructed map (.obj, "
         "kfusion only)\n");
-}
-
-const char *
-flagValue(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-long
-longFlag(int argc, char **argv, const char *name, long fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atol(v) : fallback;
-}
-
-double
-doubleFlag(int argc, char **argv, const char *name, double fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atof(v) : fallback;
 }
 
 } // namespace
@@ -172,99 +130,45 @@ doubleFlag(int argc, char **argv, const char *name, double fallback)
 int
 main(int argc, char **argv)
 {
-    if (hasFlag(argc, argv, "--help") || hasFlag(argc, argv, "-h")) {
+    using namespace slambench::bench;
+
+    if (argFlag(argc, argv, "--help") || argFlag(argc, argv, "-h")) {
         usage();
         return 0;
     }
 
-    if (hasFlag(argc, argv, "--quiet"))
-        support::setLogLevel(support::LogLevel::Warn);
-    else if (hasFlag(argc, argv, "--verbose"))
-        support::setLogLevel(support::LogLevel::Debug);
-
-    // Per-kernel tracing (docs/OBSERVABILITY.md); exports at exit.
-    const char *trace_json = flagValue(argc, argv, "--trace");
-    const char *trace_csv = flagValue(argc, argv, "--perf-csv");
-    const support::trace::Session trace_session(
-        trace_json ? trace_json : "", trace_csv ? trace_csv : "");
-
-    // Hardware-counter profiling (docs/OBSERVABILITY.md "Hardware
-    // counters"); summary logged and gauges published at exit.
-    const support::pmu::Session pmu_session(
-        hasFlag(argc, argv, "--pmu"));
-
-    // Machine-readable run report (docs/OBSERVABILITY.md).
-    const char *metrics_json =
-        flagValue(argc, argv, "--metrics-json");
-    const char *frames_csv = flagValue(argc, argv, "--frames-csv");
-    support::metrics::RunSession metrics_session(
-        metrics_json ? metrics_json : "",
-        frames_csv ? frames_csv : "", "slambench_cli");
-
-    // Live telemetry (docs/OBSERVABILITY.md "Live telemetry").
-    support::telemetry::TelemetryOptions telemetry_options;
-    telemetry_options.port = static_cast<int>(
-        longFlag(argc, argv, "--telemetry-port", -1));
-    const char *crash_dump = flagValue(argc, argv, "--crash-dump");
-    telemetry_options.crashDumpPath = crash_dump ? crash_dump : "";
-    telemetry_options.generator = "slambench_cli";
-    telemetry_options.slo.frameP99Seconds =
-        doubleFlag(argc, argv, "--slo-frame-p99-ms", 0.0) * 1e-3;
-    telemetry_options.slo.maxAteMeters =
-        doubleFlag(argc, argv, "--slo-max-ate", 0.0);
-    telemetry_options.slo.maxConsecutiveTrackingFailures =
-        longFlag(argc, argv, "--slo-max-lost", 0);
-    telemetry_options.slo.poolQueueStallSeconds =
-        doubleFlag(argc, argv, "--slo-queue-stall-ms", 0.0) * 1e-3;
-    const long recorder_slots =
-        longFlag(argc, argv, "--recorder-slots", 1024);
-    telemetry_options.recorderSlots =
-        recorder_slots <= 0 ? 1024
-                            : static_cast<size_t>(recorder_slots);
-    const support::telemetry::TelemetryEndpoint telemetry(
-        telemetry_options);
-
-    // Request tracing (docs/OBSERVABILITY.md "Request tracing"):
-    // each processed frame becomes a queryable span tree under
-    // tail-based retention.
-    support::trace::RequestTraceOptions request_trace_options;
-    request_trace_options.sampleRate =
-        doubleFlag(argc, argv, "--trace-sample-rate", -1.0);
-    const long trace_store =
-        longFlag(argc, argv, "--trace-store", 0);
-    const bool trace_requests =
-        hasFlag(argc, argv, "--trace-requests") ||
-        request_trace_options.sampleRate >= 0.0 || trace_store > 0;
-    if (request_trace_options.sampleRate < 0.0)
-        request_trace_options.sampleRate = 0.01;
-    if (request_trace_options.sampleRate > 1.0)
-        request_trace_options.sampleRate = 1.0;
-    if (trace_store > 0)
-        request_trace_options.maxRetained =
-            static_cast<size_t>(trace_store);
-    const support::trace::RequestTraceSession request_trace_session(
-        trace_requests, request_trace_options);
+    // The observability flags shared with the figure benches
+    // (docs/OBSERVABILITY.md): span timeline, hardware counters, run
+    // report, live telemetry, and request traces.
+    applyLogFlags(argc, argv);
+    const support::trace::Session trace_session =
+        traceSessionFromArgs(argc, argv);
+    const support::pmu::Session pmu_session =
+        pmuSessionFromArgs(argc, argv);
+    support::metrics::RunSession metrics_session =
+        metricsSessionFromArgs(argc, argv, "slambench_cli");
+    const support::telemetry::TelemetryEndpoint telemetry =
+        telemetryFromArgs(argc, argv, "slambench_cli");
+    const support::trace::RequestTraceSession request_trace_session =
+        requestTraceFromArgs(argc, argv);
 
     // --- Dataset ---
     dataset::SequenceSpec spec;
-    const char *scene = flagValue(argc, argv, "--scene");
+    const char *scene = argString(argc, argv, "--scene", nullptr);
     if (scene && std::string(scene) == "office")
         spec.scene = dataset::SceneId::Office;
     else if (scene && std::string(scene) != "living-room")
         support::fatal("unknown --scene (living-room|office)");
-    const char *trajectory = flagValue(argc, argv, "--trajectory");
+    const char *trajectory =
+        argString(argc, argv, "--trajectory", nullptr);
     if (trajectory &&
         !dataset::parsePreset(trajectory, spec.trajectory))
         support::fatal("unknown --trajectory (a|b|c)");
-    spec.numFrames =
-        static_cast<size_t>(longFlag(argc, argv, "--frames", 40));
-    spec.width =
-        static_cast<size_t>(longFlag(argc, argv, "--width", 320));
-    spec.height =
-        static_cast<size_t>(longFlag(argc, argv, "--height", 240));
-    spec.sensorNoise = !hasFlag(argc, argv, "--no-noise");
-    spec.seed =
-        static_cast<uint64_t>(longFlag(argc, argv, "--seed", 42));
+    spec.numFrames = argCount(argc, argv, "--frames", 40);
+    spec.width = argCount(argc, argv, "--width", 320);
+    spec.height = argCount(argc, argv, "--height", 240);
+    spec.sensorNoise = !argFlag(argc, argv, "--no-noise");
+    spec.seed = static_cast<uint64_t>(argLong(argc, argv, "--seed", 42));
     spec.renderRgb = false;
 
     std::printf("generating %zu frames (%zux%zu, %s, trajectory "
@@ -278,40 +182,26 @@ main(int argc, char **argv)
 
     // --- Configuration ---
     kfusion::KFusionConfig config;
-    config.computeSizeRatio =
-        static_cast<int>(longFlag(argc, argv, "--csr", 1));
+    config.computeSizeRatio = static_cast<int>(
+        argLong(argc, argv, "--csr", config.computeSizeRatio));
     config.icpThreshold = static_cast<float>(
-        doubleFlag(argc, argv, "--icp", config.icpThreshold));
+        argDouble(argc, argv, "--icp", config.icpThreshold));
     config.mu =
-        static_cast<float>(doubleFlag(argc, argv, "--mu", config.mu));
-    config.integrationRate =
-        static_cast<int>(longFlag(argc, argv, "--ir", 2));
-    config.volumeResolution =
-        static_cast<int>(longFlag(argc, argv, "--vr", 256));
+        static_cast<float>(argDouble(argc, argv, "--mu", config.mu));
+    config.integrationRate = static_cast<int>(
+        argLong(argc, argv, "--ir", config.integrationRate));
+    config.volumeResolution = static_cast<int>(
+        argLong(argc, argv, "--vr", config.volumeResolution));
     config.volumeSize = static_cast<float>(
-        doubleFlag(argc, argv, "--vs", config.volumeSize));
-    config.trackingRate =
-        static_cast<int>(longFlag(argc, argv, "--tr", 1));
-    config.renderingRate =
-        static_cast<int>(longFlag(argc, argv, "--rr", 4));
-    if (const char *backend = flagValue(argc, argv, "--backend")) {
-        std::string backend_error;
-        if (!kfusion::resolveKernelBackend(backend, &backend_error))
-            support::fatal("--backend: " + backend_error);
-        config.kernelBackend = backend;
-    }
-    if (const char *volume = flagValue(argc, argv, "--volume")) {
-        if (!kfusion::volumeBackendNameValid(volume))
-            support::fatal("--volume: unknown volume backend '" +
-                           std::string(volume) +
-                           "' (valid: dense, sparse)");
-        config.volumeBackend = volume;
-    }
-    config.volumeBlockSize = static_cast<int>(longFlag(
-        argc, argv, "--block-size", config.volumeBlockSize));
-    config.volumePoolCapacity = longFlag(
-        argc, argv, "--pool-capacity", config.volumePoolCapacity);
-    if (const char *pyramid = flagValue(argc, argv, "--pyramid")) {
+        argDouble(argc, argv, "--vs", config.volumeSize));
+    config.trackingRate = static_cast<int>(
+        argLong(argc, argv, "--tr", config.trackingRate));
+    config.renderingRate = static_cast<int>(
+        argLong(argc, argv, "--rr", config.renderingRate));
+    config.kernelBackend = backendFromArgs(argc, argv);
+    volumeFromArgs(argc, argv, config);
+    if (const char *pyramid =
+            argString(argc, argv, "--pyramid", nullptr)) {
         config.pyramidIterations.clear();
         for (const std::string &field :
              support::split(pyramid, ',')) {
@@ -324,7 +214,8 @@ main(int argc, char **argv)
     }
 
     kfusion::Implementation impl = kfusion::Implementation::Sequential;
-    if (const char *impl_flag = flagValue(argc, argv, "--impl")) {
+    if (const char *impl_flag =
+            argString(argc, argv, "--impl", nullptr)) {
         if (std::string(impl_flag) == "threaded")
             impl = kfusion::Implementation::Threaded;
         else if (std::string(impl_flag) != "sequential")
@@ -332,17 +223,13 @@ main(int argc, char **argv)
     }
     // Shared with the DSE benches: worker-thread count (0 = hardware
     // concurrency). Here it sizes the Threaded kernels' pool.
-    const long threads_flag =
-        longFlag(argc, argv, "--dse-threads", 0);
-    const size_t num_threads =
-        threads_flag < 0 ? 0 : static_cast<size_t>(threads_flag);
+    const size_t num_threads = dseThreadsFromArgs(argc, argv);
 
     // --- System ---
     std::unique_ptr<core::SlamSystem> system;
     core::KFusionSystem *kfusion_system = nullptr;
-    const char *system_flag = flagValue(argc, argv, "--system");
     const std::string system_name =
-        system_flag ? system_flag : "kfusion";
+        argString(argc, argv, "--system", "kfusion");
     if (system_name == "kfusion") {
         auto kf = std::make_unique<core::KFusionSystem>(config, impl,
                                                         num_threads);
@@ -362,33 +249,19 @@ main(int argc, char **argv)
                 config.toString().c_str());
     core::addConfigParams(metrics_session, config);
     core::BenchmarkOptions options;
-    options.alignedAte = hasFlag(argc, argv, "--align");
+    options.alignedAte = argFlag(argc, argv, "--align");
     const core::BenchmarkResult result =
         core::runBenchmark(*system, sequence, options);
 
     // --- Report ---
-    std::printf("\ntracked    : %zu/%zu frames\n",
-                result.trackedFrames, result.frames);
-    std::printf("accuracy   : max ATE %.4f m | mean %.4f m | RMSE "
-                "%.4f m\n",
-                result.ate.maxAte, result.ate.meanAte,
-                result.ate.rmse);
-    if (options.alignedAte)
-        std::printf("aligned    : max ATE %.4f m | RMSE %.4f m\n",
-                    result.ateAligned.maxAte, result.ateAligned.rmse);
-    std::printf("drift      : RPE %.5f m/frame, %.5f rad/frame\n",
-                result.rpe.translationRmse,
-                result.rpe.rotationRmse);
-    std::printf("host speed : %s\n",
-                metrics::describeTiming(result.hostTiming).c_str());
-
     const auto xu3 = devices::odroidXu3();
-    const auto sim = devices::simulateRun(xu3, result.frameWork);
-    std::printf("odroid-xu3 : %.1f ms/frame (%.1f FPS) | %.2f W "
-                "paced, %.2f W batch\n",
-                sim.meanFrameSeconds * 1e3, sim.meanFps,
-                sim.pacedWatts, sim.meanWatts);
+    std::printf("\n%s",
+                core::summarizeRun(result, xu3, system->name()).c_str());
+    if (options.alignedAte)
+        std::printf("aligned     : max ATE %.4f m | RMSE %.4f m\n",
+                    result.ateAligned.maxAte, result.ateAligned.rmse);
 
+    const auto sim = devices::simulateRun(xu3, result.frameWork);
     core::appendRunTelemetry(metrics_session, system_name, result,
                              &xu3);
     metrics_session.setSummary("sim_frame_seconds_mean",
@@ -396,15 +269,8 @@ main(int argc, char **argv)
     metrics_session.setSummary("sim_watts_paced", sim.pacedWatts);
 
     // --- Optional artifacts ---
-    if (const char *path = flagValue(argc, argv, "--log")) {
-        std::ofstream log(path);
-        if (log) {
-            core::writeFrameLog(log, result, xu3);
-            support::logInfo() << "wrote " << path;
-        }
-    }
     if (const char *path =
-            flagValue(argc, argv, "--dump-trajectory")) {
+            argString(argc, argv, "--dump-trajectory", nullptr)) {
         dataset::Trajectory estimated;
         for (size_t i = 0; i < result.estimatedPoses.size(); ++i)
             estimated.append(result.estimatedPoses[i],
@@ -413,11 +279,12 @@ main(int argc, char **argv)
             std::printf("wrote %s\n", path);
     }
     if (const char *path =
-            flagValue(argc, argv, "--dump-groundtruth")) {
+            argString(argc, argv, "--dump-groundtruth", nullptr)) {
         if (sequence.groundTruth.saveTum(path))
             std::printf("wrote %s\n", path);
     }
-    if (const char *path = flagValue(argc, argv, "--dump-mesh")) {
+    if (const char *path =
+            argString(argc, argv, "--dump-mesh", nullptr)) {
         if (!kfusion_system) {
             std::printf("--dump-mesh requires --system kfusion\n");
         } else {

@@ -25,10 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
-#include "kfusion/backend.hpp"
-#include "kfusion/volume_backend.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "support/logging.hpp"
@@ -125,38 +124,6 @@ usage()
         "  --quiet / --verbose   log level\n");
 }
 
-const char *
-flagValue(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-long
-longFlag(int argc, char **argv, const char *name, long fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atol(v) : fallback;
-}
-
-double
-doubleFlag(int argc, char **argv, const char *name, double fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atof(v) : fallback;
-}
-
 /** Drain target of the SIGTERM/SIGINT handler. */
 std::atomic<serve::StreamScheduler *> g_scheduler{nullptr};
 
@@ -174,7 +141,9 @@ handleDrainSignal(int)
 int
 main(int argc, char **argv)
 {
-    if (hasFlag(argc, argv, "--help") || hasFlag(argc, argv, "-h")) {
+    using namespace slambench::bench;
+
+    if (argFlag(argc, argv, "--help") || argFlag(argc, argv, "-h")) {
         usage();
         return 0;
     }
@@ -184,110 +153,47 @@ main(int argc, char **argv)
     // may ever kill a long-running service.
     std::signal(SIGPIPE, SIG_IGN);
 
-    if (hasFlag(argc, argv, "--quiet"))
-        support::setLogLevel(support::LogLevel::Warn);
-    else if (hasFlag(argc, argv, "--verbose"))
-        support::setLogLevel(support::LogLevel::Debug);
+    applyLogFlags(argc, argv);
 
     const size_t tenants = static_cast<size_t>(
-        std::max(1L, longFlag(argc, argv, "--serve-tenants", 8)));
+        std::max(1L, argLong(argc, argv, "--serve-tenants", 8)));
     const uint64_t ticks = static_cast<uint64_t>(
-        std::max(0L, longFlag(argc, argv, "--serve-ticks", 0)));
+        std::max(0L, argLong(argc, argv, "--serve-ticks", 0)));
 
     // Run report: one frame row per processed frame, labeled with
     // the producing tenant's id.
-    const char *metrics_json =
-        flagValue(argc, argv, "--metrics-json");
-    const char *frames_csv = flagValue(argc, argv, "--frames-csv");
-    support::metrics::RunSession metrics_session(
-        metrics_json ? metrics_json : "",
-        frames_csv ? frames_csv : "", "slambench_serve");
-
-    support::telemetry::TelemetryOptions telemetry_options;
-    telemetry_options.port = static_cast<int>(
-        longFlag(argc, argv, "--telemetry-port", -1));
-    const char *crash_dump = flagValue(argc, argv, "--crash-dump");
-    telemetry_options.crashDumpPath = crash_dump ? crash_dump : "";
-    telemetry_options.generator = "slambench_serve";
-    telemetry_options.slo.frameP99Seconds =
-        doubleFlag(argc, argv, "--slo-frame-p99-ms", 0.0) * 1e-3;
-    telemetry_options.slo.maxAteMeters =
-        doubleFlag(argc, argv, "--slo-max-ate", 0.0);
-    telemetry_options.slo.maxConsecutiveTrackingFailures =
-        longFlag(argc, argv, "--slo-max-lost", 0);
-    telemetry_options.slo.poolQueueStallSeconds =
-        doubleFlag(argc, argv, "--slo-queue-stall-ms", 0.0) * 1e-3;
-    const long recorder_slots =
-        longFlag(argc, argv, "--recorder-slots", 1024);
-    telemetry_options.recorderSlots =
-        recorder_slots <= 0 ? 1024
-                            : static_cast<size_t>(recorder_slots);
-    const support::telemetry::TelemetryEndpoint telemetry(
-        telemetry_options);
-
+    support::metrics::RunSession metrics_session =
+        metricsSessionFromArgs(argc, argv, "slambench_serve");
+    const support::telemetry::TelemetryEndpoint telemetry =
+        telemetryFromArgs(argc, argv, "slambench_serve");
     // Request tracing: every frame through the scheduler gets a
     // TraceContext; tail-based retention keeps SLO breaches,
     // tracking losses, and top-bucket frames, plus a sampled slice
     // of normal traffic (docs/OBSERVABILITY.md "Request tracing").
-    support::trace::RequestTraceOptions trace_options;
-    trace_options.sampleRate =
-        doubleFlag(argc, argv, "--trace-sample-rate", -1.0);
-    const long trace_store =
-        longFlag(argc, argv, "--trace-store", 0);
-    const bool trace_armed =
-        hasFlag(argc, argv, "--trace-requests") ||
-        trace_options.sampleRate >= 0.0 || trace_store > 0;
-    if (trace_options.sampleRate < 0.0)
-        trace_options.sampleRate = 0.01;
-    if (trace_options.sampleRate > 1.0)
-        trace_options.sampleRate = 1.0;
-    if (trace_store > 0)
-        trace_options.maxRetained =
-            static_cast<size_t>(trace_store);
-    const support::trace::RequestTraceSession trace_session(
-        trace_armed, trace_options);
+    const support::trace::RequestTraceSession trace_session =
+        requestTraceFromArgs(argc, argv);
 
     // --- Tenant fleet ---
     const auto fleet = devices::mobileFleet(
         std::max<size_t>(tenants, 8),
         static_cast<uint64_t>(
-            longFlag(argc, argv, "--fleet-seed", 2018)));
+            argLong(argc, argv, "--fleet-seed", 2018)));
 
     kfusion::KFusionConfig kfusion_config;
     kfusion_config.volumeResolution =
-        static_cast<int>(longFlag(argc, argv, "--vr", 64));
+        static_cast<int>(argLong(argc, argv, "--vr", 64));
     kfusion_config.computeSizeRatio =
-        static_cast<int>(longFlag(argc, argv, "--csr", 2));
-    if (const char *backend = flagValue(argc, argv, "--backend")) {
-        std::string backend_error;
-        if (!kfusion::resolveKernelBackend(backend, &backend_error))
-            support::fatal("--backend: " + backend_error);
-        kfusion_config.kernelBackend = backend;
-    }
-    if (const char *volume = flagValue(argc, argv, "--volume")) {
-        if (!kfusion::volumeBackendNameValid(volume))
-            support::fatal("--volume: unknown volume backend '" +
-                           std::string(volume) +
-                           "' (valid: dense, sparse)");
-        kfusion_config.volumeBackend = volume;
-    }
-    kfusion_config.volumeBlockSize = static_cast<int>(
-        longFlag(argc, argv, "--block-size",
-                 kfusion_config.volumeBlockSize));
-    kfusion_config.volumePoolCapacity =
-        longFlag(argc, argv, "--pool-capacity",
-                 kfusion_config.volumePoolCapacity);
+        static_cast<int>(argLong(argc, argv, "--csr", 2));
+    kfusion_config.kernelBackend = backendFromArgs(argc, argv);
+    volumeFromArgs(argc, argv, kfusion_config);
 
     dataset::SequenceSpec base_spec;
-    base_spec.numFrames =
-        static_cast<size_t>(longFlag(argc, argv, "--frames", 16));
-    base_spec.width =
-        static_cast<size_t>(longFlag(argc, argv, "--width", 160));
-    base_spec.height =
-        static_cast<size_t>(longFlag(argc, argv, "--height", 120));
+    base_spec.numFrames = argCount(argc, argv, "--frames", 16);
+    base_spec.width = argCount(argc, argv, "--width", 160);
+    base_spec.height = argCount(argc, argv, "--height", 120);
     base_spec.renderRgb = false;
     const uint64_t base_seed =
-        static_cast<uint64_t>(longFlag(argc, argv, "--seed", 42));
+        static_cast<uint64_t>(argLong(argc, argv, "--seed", 42));
 
     std::printf("standing up %zu tenant sessions (%zux%zu, %zu "
                 "frames/stream, vr=%d, csr=%d)...\n",
@@ -324,30 +230,30 @@ main(int argc, char **argv)
 
     serve::SchedulerOptions scheduler_options;
     scheduler_options.threads = static_cast<size_t>(
-        std::max(0L, longFlag(argc, argv, "--serve-threads", 0)));
+        std::max(0L, argLong(argc, argv, "--serve-threads", 0)));
     scheduler_options.admission.queueHiWatermark =
         static_cast<size_t>(
-            std::max(1L, longFlag(argc, argv, "--serve-queue-hi",
+            std::max(1L, argLong(argc, argv, "--serve-queue-hi",
                                   64)));
     scheduler_options.admission.queueLoWatermark =
         static_cast<size_t>(
-            std::max(0L, longFlag(argc, argv, "--serve-queue-lo",
+            std::max(0L, argLong(argc, argv, "--serve-queue-lo",
                                   4)));
     scheduler_options.admission.frameP99TargetSeconds =
-        doubleFlag(argc, argv, "--serve-p99-ms", 0.0) * 1e-3;
+        argDouble(argc, argv, "--serve-p99-ms", 0.0) * 1e-3;
     scheduler_options.admission.clearAfterHealthyTicks =
         static_cast<int>(
-            std::max(1L, longFlag(argc, argv, "--serve-clear-ticks",
+            std::max(1L, argLong(argc, argv, "--serve-clear-ticks",
                                   3)));
     scheduler_options.admission.maxTenantVolumeBytes =
         static_cast<uint64_t>(
-            std::max(0.0, doubleFlag(argc, argv,
+            std::max(0.0, argDouble(argc, argv,
                                      "--serve-max-tenant-mb", 0.0)) *
             (1 << 20));
     scheduler_options.stallAtTick = static_cast<uint64_t>(
-        std::max(0L, longFlag(argc, argv, "--serve-stall-tick", 0)));
+        std::max(0L, argLong(argc, argv, "--serve-stall-tick", 0)));
     scheduler_options.stallMs =
-        doubleFlag(argc, argv, "--serve-stall-ms", 0.0);
+        argDouble(argc, argv, "--serve-stall-ms", 0.0);
 
     serve::StreamScheduler scheduler(std::move(sessions),
                                      scheduler_options);

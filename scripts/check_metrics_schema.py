@@ -19,8 +19,8 @@ matching `--frames-csv` table):
     --pmu) is well-formed: backend/counter names, per-kernel span
     counts, miss rates within [0,1], and bytes_per_second consistent
     with bytes / task_clock_seconds;
-  * the frames CSV (when given) has the documented header and one row
-    per frame of the report.
+  * the frames CSV (when given) has the documented header, one row
+    per frame of the report, 0/1 flags and a non-negative sim_ms.
 
 --serve additionally validates a slambench_serve run report
 (docs/SERVING.md): the serve_* summary block, the per-tenant
@@ -44,7 +44,7 @@ SCHEMA_VERSION = 1
 FRAMES_CSV_HEADER = [
     "label", "frame", "wall_ms", "preprocess_ms", "track_ms",
     "integrate_ms", "raycast_ms", "ate_m", "tracked", "integrated",
-    "sim_joules", "rss_peak_bytes",
+    "sim_joules", "rss_peak_bytes", "sim_ms",
 ]
 
 errors = []
@@ -418,6 +418,14 @@ def check_frames_csv(path, frames):
             require(value in ("0", "1"),
                     "%s row %d: %s=%r not 0/1"
                     % (path, i + 1, col, value))
+        value = row[FRAMES_CSV_HEADER.index("sim_ms")]
+        try:
+            sim_ms = float(value)
+        except ValueError:
+            sim_ms = float("nan")
+        require(sim_ms >= 0.0,
+                "%s row %d: sim_ms=%r not a non-negative number"
+                % (path, i + 1, value))
 
 
 def main():

@@ -4,7 +4,6 @@
 
 #include "kfusion/backend.hpp"
 #include "power/power_monitor.hpp"
-#include "support/csv.hpp"
 #include "support/metrics.hpp"
 #include "support/pmu.hpp"
 #include "support/strings.hpp"
@@ -24,37 +23,49 @@ kernelGroupSeconds(const kfusion::WorkCounts &work,
     return seconds;
 }
 
-} // namespace
-
-size_t
-writeFrameLog(std::ostream &out, const BenchmarkResult &result,
-              const devices::DeviceModel &device)
+/**
+ * Build one frame's telemetry record from a benchmark run: phase
+ * times partitioned from the frame's WorkCounts (preprocess / track
+ * / integrate / raycast), ATE, tracking state and RSS.
+ */
+support::metrics::FrameTelemetry
+frameTelemetry(const BenchmarkResult &result, size_t frame,
+               const std::string &label)
 {
-    std::vector<std::string> header{"frame", "ate_m",
-                                    "host_seconds", "sim_seconds",
-                                    "sim_joules"};
-    for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
-        const auto id = static_cast<kfusion::KernelId>(k);
-        header.push_back(std::string(kfusion::kernelName(id)) +
-                         "_items");
-    }
-    support::CsvWriter csv(out, header);
-    for (size_t f = 0; f < result.frameWork.size(); ++f) {
-        const kfusion::WorkCounts &work = result.frameWork[f];
-        csv.beginRow()
-            .cell(static_cast<int64_t>(f))
-            .cell(f < result.ate.perFrame.size()
-                      ? result.ate.perFrame[f]
-                      : 0.0)
-            .cell(work.totalHostSeconds())
-            .cell(device.frameSeconds(work))
-            .cell(device.frameJoules(work));
-        for (size_t k = 0; k < kfusion::kNumKernels; ++k)
-            csv.cell(work.items[k]);
-    }
-    csv.endRow();
-    return csv.rowCount();
+    using kfusion::KernelId;
+    support::metrics::FrameTelemetry t;
+    t.label = label;
+    t.frame = frame;
+    const kfusion::WorkCounts &work = result.frameWork[frame];
+
+    t.wallSeconds = frame < result.frameSeconds.size()
+                        ? result.frameSeconds[frame]
+                        : work.totalHostSeconds();
+    t.preprocessSeconds = kernelGroupSeconds(
+        work, {KernelId::Mm2Meters, KernelId::BilateralFilter,
+               KernelId::HalfSample, KernelId::Depth2Vertex,
+               KernelId::Vertex2Normal});
+    t.trackSeconds = kernelGroupSeconds(
+        work,
+        {KernelId::Track, KernelId::Reduce, KernelId::Solve});
+    t.integrateSeconds =
+        kernelGroupSeconds(work, {KernelId::Integrate});
+    t.raycastSeconds = kernelGroupSeconds(
+        work, {KernelId::Raycast, KernelId::RenderVolume});
+    t.ateMeters = frame < result.ate.perFrame.size()
+                      ? result.ate.perFrame[frame]
+                      : 0.0;
+    t.tracked = frame < result.frameTracked.size()
+                    ? static_cast<bool>(result.frameTracked[frame])
+                    : true;
+    t.integrated = work.itemsFor(KernelId::Integrate) > 0.0;
+    t.rssPeakBytes = frame < result.frameRssPeak.size()
+                         ? result.frameRssPeak[frame]
+                         : support::metrics::peakRssBytes();
+    return t;
 }
+
+} // namespace
 
 std::string
 summarizeRun(const BenchmarkResult &result,
@@ -127,53 +138,6 @@ addConfigParams(support::metrics::RunSession &session,
                      backend ? backend->name() : config.kernelBackend);
 }
 
-support::metrics::FrameTelemetry
-frameTelemetry(const BenchmarkResult &result, size_t frame,
-               const std::string &label,
-               const devices::DeviceModel *device)
-{
-    using kfusion::KernelId;
-    support::metrics::FrameTelemetry t;
-    t.label = label;
-    t.frame = frame;
-    if (frame >= result.frameWork.size())
-        return t;
-    const kfusion::WorkCounts &work = result.frameWork[frame];
-
-    t.wallSeconds = frame < result.frameSeconds.size()
-                        ? result.frameSeconds[frame]
-                        : work.totalHostSeconds();
-    t.preprocessSeconds = kernelGroupSeconds(
-        work, {KernelId::Mm2Meters, KernelId::BilateralFilter,
-               KernelId::HalfSample, KernelId::Depth2Vertex,
-               KernelId::Vertex2Normal});
-    t.trackSeconds = kernelGroupSeconds(
-        work,
-        {KernelId::Track, KernelId::Reduce, KernelId::Solve});
-    t.integrateSeconds =
-        kernelGroupSeconds(work, {KernelId::Integrate});
-    t.raycastSeconds = kernelGroupSeconds(
-        work, {KernelId::Raycast, KernelId::RenderVolume});
-    t.ateMeters = frame < result.ate.perFrame.size()
-                      ? result.ate.perFrame[frame]
-                      : 0.0;
-    t.tracked = frame < result.frameTracked.size()
-                    ? static_cast<bool>(result.frameTracked[frame])
-                    : true;
-    t.integrated = work.itemsFor(KernelId::Integrate) > 0.0;
-    t.rssPeakBytes = frame < result.frameRssPeak.size()
-                         ? result.frameRssPeak[frame]
-                         : support::metrics::peakRssBytes();
-    if (device) {
-        // Modeled per-frame energy via the power-monitor abstraction
-        // (the simulated INA231 rail of the target device).
-        power::SimulatedPowerMonitor monitor(*device);
-        monitor.recordFrame(work);
-        t.simJoules = monitor.reading().joules;
-    }
-    return t;
-}
-
 size_t
 appendRunTelemetry(support::metrics::RunSession &session,
                    const std::string &label,
@@ -188,16 +152,19 @@ appendRunTelemetry(support::metrics::RunSession &session,
     std::unique_ptr<power::PowerMonitor> monitor =
         device ? power::makeSimulatedMonitor(*device)
                : power::makeNullMonitor();
-    double previous_joules = 0.0;
+    power::EnergyReading previous;
     for (size_t frame = 0; frame < result.frameWork.size();
          ++frame) {
         support::metrics::FrameTelemetry t =
-            frameTelemetry(result, frame, label, nullptr);
+            frameTelemetry(result, frame, label);
+        // Modeled device time and energy of the frame: the delta of
+        // the simulated INA231 rail of the target device.
         monitor->recordFrame(result.frameWork[frame]);
         const power::EnergyReading reading = monitor->reading();
         if (reading.available) {
-            t.simJoules = reading.joules - previous_joules;
-            previous_joules = reading.joules;
+            t.simSeconds = reading.seconds - previous.seconds;
+            t.simJoules = reading.joules - previous.joules;
+            previous = reading;
         }
         wall_histogram.record(t.wallSeconds);
         ate_histogram.record(t.ateMeters);

@@ -3,13 +3,13 @@
 
 /**
  * @file
- * SLAMBench-style run reporting: the per-frame metric log (one CSV
- * row per frame: kernel times, tracking state, pose error) and the
- * human-readable summary block the original benchmark binaries
+ * SLAMBench-style run reporting: the per-frame telemetry fed to a
+ * run-report session (one `--frames-csv` row per frame: phase times,
+ * tracking state, pose error, modeled device time and energy) and
+ * the human-readable summary block the original benchmark binaries
  * print at the end of a run.
  */
 
-#include <ostream>
 #include <string>
 
 #include "core/benchmark.hpp"
@@ -18,19 +18,6 @@
 #include "support/metrics.hpp"
 
 namespace slambench::core {
-
-/**
- * Write the per-frame log: frame index, host kernel times, work
- * items for the dominant kernels, per-frame ATE, and the simulated
- * device frame time.
- *
- * @param out Destination stream.
- * @param result A finished benchmark run.
- * @param device Device model used for the simulated column.
- * @return number of rows written.
- */
-size_t writeFrameLog(std::ostream &out, const BenchmarkResult &result,
-                     const devices::DeviceModel &device);
 
 /**
  * Format the end-of-run summary block (the metric triple plus
@@ -55,27 +42,16 @@ void addConfigParams(support::metrics::RunSession &session,
                      const kfusion::KFusionConfig &config);
 
 /**
- * Build one frame's telemetry record from a benchmark run: phase
- * times partitioned from the frame's WorkCounts (preprocess / track
- * / integrate / raycast) and, when @p device is given, the modeled
- * energy of the frame from a simulated power monitor.
- *
- * @param result Finished benchmark run.
- * @param frame Frame index within @p result.
- * @param label Run label stored in the record.
- * @param device Device model for the energy column (nullptr = 0 J).
- */
-support::metrics::FrameTelemetry
-frameTelemetry(const BenchmarkResult &result, size_t frame,
-               const std::string &label,
-               const devices::DeviceModel *device);
-
-/**
  * Append every frame of @p result to @p session (no-op when the
  * session is inactive) and fold the run into the process metrics
  * registry (`frame_wall_seconds` / `frame_ate_m` histograms and the
  * run counters the report's `histograms` section is built from).
+ * Each frame's host phase times are partitioned from its WorkCounts
+ * (preprocess / track / integrate / raycast); its modeled device
+ * time and energy come from a simulated power monitor of @p device.
  *
+ * @param device Device model for the `sim_ms` / `sim_joules` columns
+ *     (nullptr = both 0).
  * @return number of frames appended.
  */
 size_t appendRunTelemetry(support::metrics::RunSession &session,

@@ -202,6 +202,7 @@ StreamScheduler::runTick(support::metrics::RunSession *session)
             telemetry.tracked = slot.stats.tracked;
             telemetry.integrated = true;
             telemetry.simJoules = slot.stats.deviceJoules;
+            telemetry.simSeconds = slot.stats.deviceSeconds;
             telemetry.rssPeakBytes =
                 support::metrics::peakRssBytes();
             session->addFrame(telemetry);

@@ -431,12 +431,13 @@ frameCsvColumns()
     return {"label",        "frame",      "wall_ms",
             "preprocess_ms", "track_ms",   "integrate_ms",
             "raycast_ms",    "ate_m",      "tracked",
-            "integrated",    "sim_joules", "rss_peak_bytes"};
+            "integrated",    "sim_joules", "rss_peak_bytes",
+            "sim_ms"};
 }
 
 /** Append one frame row to @p csv. */
 void
-writeFrameCsvRow(CsvWriter &csv, const FrameTelemetry &t)
+writeFramesCsvRow(CsvWriter &csv, const FrameTelemetry &t)
 {
     csv.beginRow()
         .cell(t.label)
@@ -450,7 +451,8 @@ writeFrameCsvRow(CsvWriter &csv, const FrameTelemetry &t)
         .cell(t.tracked ? "1" : "0")
         .cell(t.integrated ? "1" : "0")
         .cell(t.simJoules)
-        .cell(t.rssPeakBytes);
+        .cell(t.rssPeakBytes)
+        .cell(t.simSeconds * 1e3);
     csv.endRow();
 }
 
@@ -600,7 +602,7 @@ RunSession::addFrame(const FrameTelemetry &telemetry)
     std::lock_guard<std::mutex> lock(*mutex_);
     frames_.push_back(telemetry);
     if (csvWriter_) {
-        writeFrameCsvRow(*csvWriter_, telemetry);
+        writeFramesCsvRow(*csvWriter_, telemetry);
         flushCsvLocked(false);
     }
 }
@@ -864,7 +866,7 @@ RunSession::writeFramesCsv(std::ostream &os) const
     std::lock_guard<std::mutex> lock(*mutex_);
     CsvWriter csv(os, frameCsvColumns());
     for (const FrameTelemetry &t : frames_)
-        writeFrameCsvRow(csv, t);
+        writeFramesCsvRow(csv, t);
 }
 
 void

@@ -279,8 +279,8 @@ class Registry
  * The phase times partition WorkCounts host time by pipeline stage
  * (preprocess = depth conversion/filter/pyramid maps, track =
  * ICP+reduce+solve, integrate = TSDF fusion, raycast = surface
- * extraction + rendering); `core::frameTelemetry()` fills one from a
- * benchmark run.
+ * extraction + rendering); `core::appendRunTelemetry()` fills one
+ * per frame of a benchmark run.
  */
 struct FrameTelemetry
 {
@@ -297,6 +297,7 @@ struct FrameTelemetry
     bool integrated = false;   ///< Volume updated this frame.
     double simJoules = 0.0;    ///< Modeled energy (power monitor).
     double rssPeakBytes = 0.0; ///< Process RSS high-water mark.
+    double simSeconds = 0.0;   ///< Modeled device frame time.
 };
 
 /**

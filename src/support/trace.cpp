@@ -282,28 +282,6 @@ Tracer::writeChromeJson(const std::string &path) const
     return static_cast<bool>(os);
 }
 
-void
-Tracer::writeFrameCsv(std::ostream &os) const
-{
-    os << "frame,kernel,spans,host_ms\n";
-    char buf[64];
-    for (const FrameKernelTotal &t : frameKernelTotals()) {
-        std::snprintf(buf, sizeof(buf), "%.6f", t.seconds * 1e3);
-        os << t.frame << "," << t.name << "," << t.spans << ","
-           << buf << "\n";
-    }
-}
-
-bool
-Tracer::writeFrameCsv(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeFrameCsv(os);
-    return static_cast<bool>(os);
-}
-
 const char *
 currentSpanName()
 {
@@ -720,10 +698,10 @@ RequestTraceSession::operator=(RequestTraceSession &&other) noexcept
     return *this;
 }
 
-Session::Session(std::string json_path, std::string csv_path)
-    : jsonPath_(std::move(json_path)), csvPath_(std::move(csv_path))
+Session::Session(std::string json_path)
+    : jsonPath_(std::move(json_path))
 {
-    if (jsonPath_.empty() && csvPath_.empty())
+    if (jsonPath_.empty())
         return;
     Tracer &tracer = Tracer::instance();
     tracer.clear();
@@ -732,8 +710,7 @@ Session::Session(std::string json_path, std::string csv_path)
 }
 
 Session::Session(Session &&other) noexcept
-    : jsonPath_(std::move(other.jsonPath_)),
-      csvPath_(std::move(other.csvPath_)), armed_(other.armed_)
+    : jsonPath_(std::move(other.jsonPath_)), armed_(other.armed_)
 {
     other.armed_ = false;
 }
@@ -744,7 +721,6 @@ Session::operator=(Session &&other) noexcept
     if (this != &other) {
         finish();
         jsonPath_ = std::move(other.jsonPath_);
-        csvPath_ = std::move(other.csvPath_);
         armed_ = other.armed_;
         other.armed_ = false;
     }
@@ -761,18 +737,10 @@ Session::finish()
     armed_ = false;
     Tracer &tracer = Tracer::instance();
     tracer.setEnabled(false);
-    if (!jsonPath_.empty()) {
-        if (tracer.writeChromeJson(jsonPath_))
-            logInfo() << "trace: wrote " << jsonPath_;
-        else
-            logError() << "trace: cannot write " << jsonPath_;
-    }
-    if (!csvPath_.empty()) {
-        if (tracer.writeFrameCsv(csvPath_))
-            logInfo() << "trace: wrote " << csvPath_;
-        else
-            logError() << "trace: cannot write " << csvPath_;
-    }
+    if (tracer.writeChromeJson(jsonPath_))
+        logInfo() << "trace: wrote " << jsonPath_;
+    else
+        logError() << "trace: cannot write " << jsonPath_;
 }
 
 } // namespace slambench::support::trace

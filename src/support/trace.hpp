@@ -4,8 +4,7 @@
 /**
  * @file
  * Lightweight per-kernel tracing: scoped spans, counter events, and
- * frame markers, exported as Chrome `chrome://tracing` JSON and a
- * per-frame aggregate CSV.
+ * frame markers, exported as Chrome `chrome://tracing` JSON.
  *
  * SLAMBench's whole methodology is timing every pipeline stage; this
  * is the host-side instrumentation that makes those timings visible.
@@ -167,14 +166,6 @@ class Tracer
      * @return false when the file cannot be opened.
      */
     bool writeChromeJson(const std::string &path) const;
-
-    /** Write the per-frame per-kernel aggregate CSV to @p os. */
-    void writeFrameCsv(std::ostream &os) const;
-    /**
-     * Write the per-frame aggregate CSV to @p path.
-     * @return false when the file cannot be opened.
-     */
-    bool writeFrameCsv(const std::string &path) const;
 
   private:
     struct ThreadBuffer
@@ -606,8 +597,8 @@ frameMarker(uint64_t frame)
 
 /**
  * RAII trace capture for a CLI run: enables the tracer on
- * construction when at least one output path is non-empty, and on
- * destruction exports the requested files and disables tracing.
+ * construction when the output path is non-empty, and on destruction
+ * exports the Chrome trace and disables tracing.
  */
 class Session
 {
@@ -615,18 +606,15 @@ class Session
     /** Inactive session (tracing stays off). */
     Session() = default;
 
-    /**
-     * @param json_path Chrome trace output path ("" = skip).
-     * @param csv_path Per-frame aggregate CSV path ("" = skip).
-     */
-    Session(std::string json_path, std::string csv_path);
+    /** @param json_path Chrome trace output path ("" = inert). */
+    explicit Session(std::string json_path);
 
     Session(Session &&other) noexcept;
     Session &operator=(Session &&other) noexcept;
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /** Exports the requested files when the session is active. */
+    /** Exports the trace when the session is active. */
     ~Session();
 
     /** @return whether this session turned tracing on. */
@@ -640,7 +628,6 @@ class Session
     void finish();
 
     std::string jsonPath_;
-    std::string csvPath_;
     bool armed_ = false;
 };
 

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/benchmark.hpp"
 #include "core/config_binding.hpp"
@@ -15,6 +18,8 @@
 #include "core/report.hpp"
 #include "core/slam_system.hpp"
 #include "devices/fleet.hpp"
+#include "support/metrics.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -251,18 +256,55 @@ TEST(Experiment, ReplayOnFleetComputesSpeedups)
     }
 }
 
-TEST(Report, FrameLogHasOneRowPerFrame)
+TEST(Report, FramesCsvCarriesAteAndModeledDeviceCost)
 {
     const Sequence seq = tinySequence(4);
     KFusionSystem system(tinyConfig());
     const BenchmarkResult result = runBenchmark(system, seq);
+    const DeviceModel xu3 = odroidXu3();
+    const std::string csv_path =
+        ::testing::TempDir() + "core_test_frames.csv";
+    slambench::support::metrics::RunSession session("", csv_path,
+                                                    "core_test");
+    EXPECT_EQ(appendRunTelemetry(session, "run", result, &xu3), 4u);
     std::ostringstream out;
-    const size_t rows =
-        writeFrameLog(out, result, odroidXu3());
-    EXPECT_EQ(rows, 4u);
-    // Header + 4 data rows.
-    const std::string text = out.str();
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+    session.writeFramesCsv(out);
+    session.finish();
+    std::remove(csv_path.c_str());
+
+    // One row per frame, columns looked up by header name.
+    std::istringstream lines(out.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    const std::vector<std::string> header =
+        slambench::support::split(line, ',');
+    const auto column = [&](const std::string &name) {
+        const auto it = std::find(header.begin(), header.end(), name);
+        EXPECT_NE(it, header.end()) << name;
+        return static_cast<size_t>(it - header.begin());
+    };
+    EXPECT_EQ(header.back(), "sim_ms");
+    size_t f = 0;
+    for (; std::getline(lines, line); ++f) {
+        ASSERT_LT(f, result.frameWork.size());
+        const std::vector<std::string> row =
+            slambench::support::split(line, ',');
+        ASSERT_EQ(row.size(), header.size());
+        const auto value = [&](const std::string &name) {
+            return std::stod(row[column(name)]);
+        };
+        const slambench::kfusion::WorkCounts &work =
+            result.frameWork[f];
+        EXPECT_EQ(std::stoul(row[column("frame")]), f);
+        EXPECT_EQ(value("ate_m"), result.ate.perFrame[f]);
+        const double sim_ms = xu3.frameSeconds(work) * 1e3;
+        const double sim_joules = xu3.frameJoules(work);
+        EXPECT_GT(sim_ms, 0.0);
+        EXPECT_NEAR(value("sim_ms"), sim_ms, 1e-9 * sim_ms);
+        EXPECT_NEAR(value("sim_joules"), sim_joules,
+                    1e-9 * sim_joules);
+    }
+    EXPECT_EQ(f, result.frameWork.size());
 }
 
 TEST(Report, SummaryMentionsKeyMetrics)

@@ -725,7 +725,7 @@ TEST(RunReport, JsonRoundTripParses)
     EXPECT_EQ(lines[0],
               "label,frame,wall_ms,preprocess_ms,track_ms,"
               "integrate_ms,raycast_ms,ate_m,tracked,integrated,"
-              "sim_joules,rss_peak_bytes");
+              "sim_joules,rss_peak_bytes,sim_ms");
     EXPECT_NE(lines[1].find("\"unit \"\"quoted\"\" label\""),
               std::string::npos);
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -341,11 +342,43 @@ TEST(StreamScheduler, TicksEveryTenantOncePerTickAndReports)
     serve::StreamScheduler scheduler(tinyFleet(3, "sched-a"),
                                      options);
 
-    const serve::TickReport first = scheduler.runTick();
+    const std::string csv_path =
+        ::testing::TempDir() + "serve_test_frames.csv";
+    support::metrics::RunSession run_session("", csv_path,
+                                             "serve_test");
+    const serve::TickReport first = scheduler.runTick(&run_session);
     EXPECT_EQ(first.tick, 1u);
     EXPECT_EQ(first.framesProcessed, 3u);
     EXPECT_EQ(first.framesShed, 0u);
     EXPECT_FALSE(first.shedding);
+
+    // Each served frame's sim_ms (the last frames-CSV column) is its
+    // modeled device time: the one sample so far in the tenant's
+    // device-seconds histogram.
+    std::ostringstream csv;
+    run_session.writeFramesCsv(csv);
+    run_session.finish();
+    std::remove(csv_path.c_str());
+    std::istringstream lines(csv.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.substr(line.rfind(',')), ",sim_ms");
+    size_t rows = 0;
+    for (; std::getline(lines, line); ++rows) {
+        const std::string tenant = line.substr(0, line.find(','));
+        const auto &device_seconds =
+            support::metrics::Registry::instance().histogram(
+                support::telemetry::labeledMetricName(
+                    "serve.tenant.device_seconds", "tenant", tenant));
+        ASSERT_EQ(device_seconds.count(), 1u) << tenant;
+        const double sim_ms =
+            std::stod(line.substr(line.rfind(',') + 1));
+        EXPECT_GT(sim_ms, 0.0) << tenant;
+        EXPECT_NEAR(sim_ms, device_seconds.sum() * 1e3,
+                    1e-9 * sim_ms)
+            << tenant;
+    }
+    EXPECT_EQ(rows, 3u);
 
     const serve::TickReport second = scheduler.runTick();
     EXPECT_EQ(second.tick, 2u);

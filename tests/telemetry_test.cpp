@@ -1225,7 +1225,10 @@ TEST(RunSessionStreaming, CsvFlushesPerWindowAndCountsRows)
     const auto lines = splitLines(readFile(csv_path));
     std::remove(csv_path.c_str());
     ASSERT_EQ(lines.size(), kWindow + 5 + 1); // header + rows
-    EXPECT_EQ(lines[0].rfind("label,frame,wall_ms", 0), 0u);
+    EXPECT_EQ(lines[0],
+              "label,frame,wall_ms,preprocess_ms,track_ms,"
+              "integrate_ms,raycast_ms,ate_m,tracked,integrated,"
+              "sim_joules,rss_peak_bytes,sim_ms");
 }
 
 TEST(RunSessionStreaming, WriteCurrentJsonTracksActiveSession)

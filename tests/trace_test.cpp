@@ -2,8 +2,8 @@
  * @file
  * Tests of the tracing subsystem: span nesting, zero-cost disabled
  * path, Chrome JSON well-formedness (every B paired with an E),
- * worker-chunk attribution, and agreement between the per-frame CSV
- * aggregate and the WorkCounts host-time accounting.
+ * worker-chunk attribution, and agreement between the per-frame
+ * kernel-span aggregate and the WorkCounts host-time accounting.
  */
 
 #include <gtest/gtest.h>
@@ -215,7 +215,7 @@ TEST_F(TraceTest, ChromeJsonPairsEveryBeginWithAnEnd)
     std::remove(path.c_str());
 }
 
-TEST_F(TraceTest, CsvAggregateMatchesWorkCounts)
+TEST_F(TraceTest, FrameKernelTotalsMatchWorkCounts)
 {
     dataset::SequenceSpec spec;
     spec.width = 80;
@@ -263,8 +263,8 @@ TEST_F(TraceTest, CsvAggregateMatchesWorkCounts)
     EXPECT_LE(std::abs(traced_total - work.totalHostSeconds()),
               std::max(0.05 * work.totalHostSeconds(), 2e-3));
 
-    // The CSV aggregate covers every processed frame and sums to
-    // the same per-kernel totals.
+    // The per-frame aggregate covers every processed frame and sums
+    // to the same per-kernel totals.
     const auto per_frame = tracer.frameKernelTotals();
     uint64_t max_frame = 0;
     double per_frame_total = 0.0;
@@ -274,22 +274,14 @@ TEST_F(TraceTest, CsvAggregateMatchesWorkCounts)
     }
     EXPECT_EQ(max_frame, spec.numFrames - 1);
     EXPECT_NEAR(per_frame_total, traced_total, 1e-9);
-
-    std::ostringstream os;
-    tracer.writeFrameCsv(os);
-    const std::string csv = os.str();
-    EXPECT_EQ(csv.rfind("frame,kernel,spans,host_ms\n", 0), 0u);
-    EXPECT_GT(countOccurrences(csv, "integrate"), 0u);
 }
 
 TEST_F(TraceTest, SessionExportsAndDisarms)
 {
     const std::string json_path =
         ::testing::TempDir() + "trace_session.json";
-    const std::string csv_path =
-        ::testing::TempDir() + "trace_session.csv";
     {
-        Session session(json_path, csv_path);
+        Session session(json_path);
         EXPECT_TRUE(session.active());
         EXPECT_TRUE(Tracer::instance().enabled());
         TRACE_SCOPE("session_span");
@@ -302,14 +294,10 @@ TEST_F(TraceTest, SessionExportsAndDisarms)
     json_contents << json_in.rdbuf();
     EXPECT_NE(json_contents.str().find("session_span"),
               std::string::npos);
-
-    std::ifstream csv_in(csv_path);
-    ASSERT_TRUE(csv_in.good());
     std::remove(json_path.c_str());
-    std::remove(csv_path.c_str());
 
     // A pathless session stays inert.
-    Session inert("", "");
+    Session inert("");
     EXPECT_FALSE(inert.active());
     EXPECT_FALSE(Tracer::instance().enabled());
 }
