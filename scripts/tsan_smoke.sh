@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Race gate for the concurrency layer: re-run the thread-pool, metrics
-# -registry, parallel-DSE, pooled-kernel-parity, sparse-volume,
-# telemetry, request-trace-propagation, and dataset-renderer test
-# groups under ThreadSanitizer. Only registered by CMake when the tree
+# -registry, parallel-DSE, pooled-kernel-parity, sparse-sampler
+# parity, render-reuse, sparse-volume, telemetry,
+# request-trace-propagation, and dataset-renderer test groups under
+# ThreadSanitizer. Only registered by CMake when the tree
 # was configured with SLAMBENCH_SANITIZE=thread, so the binaries passed
 # in are already TSan-instrumented; any reported race aborts the test.
 #
@@ -43,7 +44,9 @@ run() {
 run "$support_test" 'ThreadPool.*'
 run "$metrics_test" 'MetricsRegistry.*'
 run "$hypermapper_test" '*ParallelMatchesSerial*'
-run "$parity_test" '*Pooled*'
+# Pooled kernels, the sparse sampler (B = 8 and 16) against dense,
+# and the pipeline's render reuse of its raycast.
+run "$parity_test" '*Pooled*:SparseFusedVolume.*:RenderReuse.*'
 # Concurrent block allocation / streaming against the hashed pool.
 run "$sparse_test" '*Pooled*'
 # The seqlock ring, the exposition server against concurrent metric

@@ -1,6 +1,9 @@
 #include "kfusion/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 
 #include "kfusion/backend.hpp"
 #include "metrics/timing.hpp"
@@ -12,6 +15,29 @@ namespace slambench::kfusion {
 
 using math::Mat4f;
 using math::Vec3f;
+
+namespace {
+
+/** Bitwise float equality (+0 and -0 are different, as for a ray). */
+bool
+sameBits(float a, float b)
+{
+    return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+/** @return whether two views would cast bit-identical rays. */
+bool
+sameView(const Mat4f &a, const Mat4f &b,
+         const math::CameraIntrinsics &ka,
+         const math::CameraIntrinsics &kb)
+{
+    return std::memcmp(a.m, b.m, sizeof a.m) == 0 &&
+           ka.width == kb.width && ka.height == kb.height &&
+           sameBits(ka.fx, kb.fx) && sameBits(ka.fy, kb.fy) &&
+           sameBits(ka.cx, kb.cx) && sameBits(ka.cy, kb.cy);
+}
+
+} // namespace
 
 std::string
 KFusion::checkCompatibility(
@@ -225,13 +251,17 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
                            config_.mu, config_.maxWeight, work,
                            pool_.get());
         result.integrated = true;
+        raycastCurrent_ = false;
     }
 
     // --- Raycast the model for the next frame's tracking ---
     if (frame_ > 2 || do_integrate) {
+        const double steps_before = work.itemsFor(KernelId::Raycast);
         volume_->raycast(raycastVertex_, raycastNormal_,
                          scaledIntrinsics_, pose_, raycastParams(),
                          work, pool_.get());
+        raycastSteps_ = work.itemsFor(KernelId::Raycast) - steps_before;
+        raycastCurrent_ = true;
         raycastPose_ = pose_;
         haveReference_ = true;
         result.raycast = true;
@@ -260,11 +290,22 @@ KFusion::renderModel(support::Image<support::Rgb8> &out,
                      const math::CameraIntrinsics *intrinsics)
 {
     TRACE_SCOPE("render_model");
+    const math::CameraIntrinsics &k =
+        intrinsics ? *intrinsics : inputIntrinsics_;
     WorkCounts work;
-    volume_->renderVolume(out,
-                          intrinsics ? *intrinsics : inputIntrinsics_,
-                          view_pose, raycastParams(), work,
-                          pool_.get());
+    static support::metrics::Counter &reuses_counter =
+        support::metrics::Registry::instance().counter(
+            "pipeline.render_reuses");
+    // The last raycast marched exactly these rays when neither the
+    // view nor the volume changed since: shade its normal map.
+    if (raycastCurrent_ &&
+        sameView(view_pose, raycastPose_, k, scaledIntrinsics_)) {
+        renderNormalsKernel(out, raycastNormal_, raycastSteps_, work);
+        reuses_counter.add(1);
+    } else {
+        volume_->renderVolume(out, k, view_pose, raycastParams(), work,
+                              pool_.get());
+    }
     totalWork_.merge(work);
     if (!frameWork_.empty())
         frameWork_.back().merge(work);

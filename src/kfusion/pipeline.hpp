@@ -95,6 +95,12 @@ class KFusion
      * Render the reconstructed model from @p view_pose into @p out
      * (the GUI's model pane; charged to the RenderVolume kernel).
      *
+     * When the view pose and intrinsics are bit-equal to the last
+     * raycast's and the volume has not changed since, the render
+     * shades that raycast's normal map instead of marching again
+     * (renderNormalsKernel): same pixels, same RenderVolume items and
+     * bytes, host time for the shading only.
+     *
      * @param out Destination image.
      * @param view_pose Camera-to-world view pose.
      * @param intrinsics Render camera; nullptr renders at the input
@@ -153,11 +159,16 @@ class KFusion
      */
     const KernelBackend &kernelBackend() const { return *backend_; }
 
+    /**
+     * @return the ray-march parameters every raycast and render of
+     * this pipeline uses (derived from the configuration).
+     */
+    RaycastParams raycastParams() const;
+
   private:
     void preprocess(const support::Image<uint16_t> &depth_mm,
                     WorkCounts &work);
     void buildPyramid(WorkCounts &work);
-    RaycastParams raycastParams() const;
 
     KFusionConfig config_;
     math::CameraIntrinsics inputIntrinsics_;
@@ -178,6 +189,10 @@ class KFusion
     support::Image<math::Vec3f> raycastVertex_;
     support::Image<math::Vec3f> raycastNormal_;
     math::Mat4f raycastPose_;
+    /** Marching steps the last raycast took. */
+    double raycastSteps_ = 0.0;
+    /** True until the volume changes after the last raycast. */
+    bool raycastCurrent_ = false;
     bool haveReference_ = false;
 
     // Last track data for the GUI pane.

@@ -98,6 +98,47 @@ struct alignas(64) RowSteps
     double value = 0.0;
 };
 
+/**
+ * The raycast's normal for a pixel: the unit TSDF gradient at the
+ * hit, or zero on a miss or a degenerate gradient. Both the raycast
+ * and the render take their normal from here, so a render shaded
+ * from the raycast's normal map equals a marched render.
+ */
+Vec3f
+surfaceNormal(bool found, const Vec3f &g)
+{
+    // TSDF increases away from the surface toward the camera side,
+    // so the gradient already points outward.
+    return found && g.squaredNorm() > 1e-18f ? g.normalized()
+                                              : Vec3f{};
+}
+
+/** Direction the model pane is lit from (world frame). */
+const Vec3f kLight = Vec3f{0.3f, 0.8f, -0.5f}.normalized();
+
+/** Model-pane pixel for a raycast normal; zero shades background. */
+support::Rgb8
+shadeNormal(const Vec3f &n)
+{
+    if (n == Vec3f{})
+        return {20, 20, 28};
+    const float diffuse = std::max(0.0f, n.dot(kLight)) * 0.7f + 0.25f;
+    const auto channel = [diffuse](float base) {
+        return static_cast<uint8_t>(
+            std::clamp(base * diffuse, 0.0f, 255.0f));
+    };
+    return {channel(200.0f), channel(205.0f), channel(215.0f)};
+}
+
+/** Charge a render of @p steps marching steps to RenderVolume. */
+void
+chargeRender(WorkCounts &counts, double steps)
+{
+    counts.addItems(KernelId::RenderVolume, steps);
+    counts.addBytes(KernelId::RenderVolume, steps * 32.0);
+    TRACE_COUNTER("render_volume.steps", steps);
+}
+
 /** Dense volume caster: ray packets + gradients via the backend. */
 struct DenseCaster
 {
@@ -106,24 +147,22 @@ struct DenseCaster
 
     void
     castRays(const Vec3f &origin, const Vec3f *dirs, size_t n,
-             const RaycastParams &params, RayHit *hits) const
+             const RaycastParams &params, RayHit *hits,
+             Vec3f *grads) const
     {
         backend.castRays(volume, origin, dirs, n, params, hits);
-    }
-
-    Vec3f
-    grad(const Vec3f &p) const
-    {
-        return backend.grad(volume, p);
+        for (size_t l = 0; l < n; ++l)
+            grads[l] = hits[l].found ? backend.grad(volume, hits[l].hit)
+                                     : Vec3f{};
     }
 };
 
 /**
- * Sparse volume caster: per-lane scalar marching with a block cache
- * shared across the packet (adjacent rays walk the same blocks), a
- * fresh cache per gradient stencil. The kernel backend's packet
- * caster is a dense-layout kernel, so the sparse path always marches
- * the scalar sampler — bit-identical to every dense backend anyway.
+ * Sparse volume caster: per-lane scalar marching and hit gradients
+ * with one block cache shared across the packet (adjacent rays walk
+ * and hit the same blocks). The kernel backend's packet caster is a
+ * dense-layout kernel, so the sparse path always marches the scalar
+ * sampler — bit-identical to every dense backend anyway.
  */
 struct SparseCaster
 {
@@ -131,20 +170,18 @@ struct SparseCaster
 
     void
     castRays(const Vec3f &origin, const Vec3f *dirs, size_t n,
-             const RaycastParams &params, RayHit *hits) const
+             const RaycastParams &params, RayHit *hits,
+             Vec3f *grads) const
     {
         SparseTsdfVolume::LookupCache cache;
         for (size_t l = 0; l < n; ++l)
             hits[l].found =
                 castRay(volume, origin, dirs[l], params, hits[l].hit,
                         hits[l].steps, cache);
-    }
-
-    Vec3f
-    grad(const Vec3f &p) const
-    {
-        SparseTsdfVolume::LookupCache cache;
-        return volume.gradCached(p, cache);
+        for (size_t l = 0; l < n; ++l)
+            grads[l] = hits[l].found
+                           ? volume.gradCached(hits[l].hit, cache)
+                           : Vec3f{};
     }
 };
 
@@ -153,11 +190,11 @@ struct SparseCaster
  *
  * Rays are cast in packets of up to kRayPacketWidth per row through
  * the volume caster (dense: the kernel backend; sparse: per-lane
- * block-cached marching), the fused TSDF gradient is evaluated at
- * each hit, and shade(x, y, hit_found, hit, grad) runs for every
- * pixel — grad is the raw (unnormalized) gradient, zero when the ray
- * missed, so each caller applies its own degenerate-normal policy
- * unchanged.
+ * block-cached marching), which also evaluates the fused TSDF
+ * gradient at each hit, and shade(x, y, hit_found, hit, grad) runs
+ * for every pixel — grad is the raw (unnormalized) gradient, zero
+ * when the ray missed; both callers turn it into a normal through
+ * surfaceNormal().
  *
  * @return total marching steps taken across the image.
  */
@@ -178,6 +215,7 @@ marchImage(const Caster &caster,
         double steps_in_row = 0.0;
         Vec3f dirs[kRayPacketWidth];
         RayHit hits[kRayPacketWidth];
+        Vec3f grads[kRayPacketWidth];
         for (size_t x0 = 0; x0 < w; x0 += kRayPacketWidth) {
             const size_t n = std::min(kRayPacketWidth, w - x0);
             for (size_t l = 0; l < n; ++l) {
@@ -187,13 +225,10 @@ marchImage(const Caster &caster,
                 dirs[l] = camera_to_world.transformDir(dir_cam)
                               .normalized();
             }
-            caster.castRays(origin, dirs, n, params, hits);
+            caster.castRays(origin, dirs, n, params, hits, grads);
             for (size_t l = 0; l < n; ++l) {
                 steps_in_row += hits[l].steps;
-                const Vec3f g = hits[l].found
-                                    ? caster.grad(hits[l].hit)
-                                    : Vec3f{};
-                shade(x0 + l, y, hits[l].found, hits[l].hit, g);
+                shade(x0 + l, y, hits[l].found, hits[l].hit, grads[l]);
             }
         }
         row_steps[y].value = steps_in_row;
@@ -232,16 +267,9 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
         caster, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &hit,
             const Vec3f &g) {
-            if (found && g.squaredNorm() > 1e-18f) {
-                vertex_out(x, y) = hit;
-                // TSDF increases away from the surface toward the
-                // camera side, so the gradient already points
-                // outward.
-                normal_out(x, y) = g.normalized();
-            } else {
-                vertex_out(x, y) = Vec3f{};
-                normal_out(x, y) = Vec3f{};
-            }
+            const Vec3f n = surfaceNormal(found, g);
+            vertex_out(x, y) = n == Vec3f{} ? Vec3f{} : hit;
+            normal_out(x, y) = n;
         });
 
     counts.addItems(KernelId::Raycast, total_steps);
@@ -271,30 +299,13 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
     const size_t h = intrinsics.height;
     out.resize(w, h);
 
-    const Vec3f light = Vec3f{0.3f, 0.8f, -0.5f}.normalized();
-
     const double total_steps = marchImage(
         caster, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &,
             const Vec3f &g) {
-            if (!found || g.squaredNorm() < 1e-18f) {
-                out(x, y) = {20, 20, 28};
-                return;
-            }
-            const Vec3f n = g.normalized();
-            const float diffuse =
-                std::max(0.0f, n.dot(light)) * 0.7f + 0.25f;
-            const auto channel = [diffuse](float base) {
-                return static_cast<uint8_t>(
-                    std::clamp(base * diffuse, 0.0f, 255.0f));
-            };
-            out(x, y) = {channel(200.0f), channel(205.0f),
-                         channel(215.0f)};
+            out(x, y) = shadeNormal(surfaceNormal(found, g));
         });
-
-    counts.addItems(KernelId::RenderVolume, total_steps);
-    counts.addBytes(KernelId::RenderVolume, total_steps * 32.0);
-    TRACE_COUNTER("render_volume.steps", total_steps);
+    chargeRender(counts, total_steps);
 }
 
 } // namespace
@@ -378,6 +389,18 @@ renderVolumeKernel(support::Image<support::Rgb8> &out,
     const SparseCaster caster{volume};
     renderVolumeKernelImpl(out, caster, intrinsics, camera_to_world,
                            params, counts, pool);
+}
+
+void
+renderNormalsKernel(support::Image<support::Rgb8> &out,
+                    const support::Image<Vec3f> &normals,
+                    double steps, WorkCounts &counts)
+{
+    KernelTimer timer(counts, KernelId::RenderVolume);
+    out.resize(normals.width(), normals.height());
+    for (size_t i = 0; i < normals.size(); ++i)
+        out[i] = shadeNormal(normals[i]);
+    chargeRender(counts, steps);
 }
 
 } // namespace slambench::kfusion

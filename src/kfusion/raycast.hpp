@@ -76,6 +76,25 @@ void renderVolumeKernel(support::Image<support::Rgb8> &out,
                         const KernelBackend *backend = nullptr);
 
 /**
+ * Shaded rendering from a raycast's normal map instead of a second
+ * march: pixel for pixel equal to renderVolumeKernel at the
+ * raycast's view, intrinsics and volume state, because both shade
+ * the same normal through the same code.
+ *
+ * @param[out] out Shaded image, the size of @p normals.
+ * @param normals Normal map from raycastKernel.
+ * @param steps Marching steps of that raycast; charged to
+ *              RenderVolume exactly as the marched render charges
+ *              its own (items = steps, bytes = steps x 32), so work
+ *              counts and device models do not see the reuse.
+ * @param[in,out] counts Work accounting (RenderVolume kernel; its
+ *                       host time is the shading alone).
+ */
+void renderNormalsKernel(support::Image<support::Rgb8> &out,
+                         const support::Image<math::Vec3f> &normals,
+                         double steps, WorkCounts &counts);
+
+/**
  * Cast a single ray against the volume.
  *
  * @param volume Fused TSDF volume.
@@ -93,10 +112,11 @@ bool castRay(const TsdfVolume &volume, const math::Vec3f &origin,
 /**
  * Sparse-volume flavors. Control flow (per-step t accumulation,
  * refinement, invalid-sample handling) is shared with the dense core,
- * so hits are bit-identical to the dense volume's; the sparse sampler
- * resolves its stencil through @p cache and detects unknown space
- * from unallocated blocks without touching voxel memory (the
- * empty-space skip).
+ * so hits and step counts are bit-identical to the dense volume's;
+ * the sparse sampler resolves its stencil through @p cache (see
+ * SparseTsdfVolume::interpCached). The march takes every step the
+ * dense march takes: unallocated blocks are rare along a ray, since
+ * the integrator allocates the free space it fuses.
  */
 bool castRay(const SparseTsdfVolume &volume, const math::Vec3f &origin,
              const math::Vec3f &dir, const RaycastParams &params,

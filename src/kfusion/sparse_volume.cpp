@@ -238,63 +238,70 @@ SparseTsdfVolume::sampleTrilinearCached(float px, float py, float pz,
         return 1.0f;
     }
 
-    // Resolve the stencil's eight voxels through the block cache.
-    // Unallocated blocks contribute the default voxel (+1, weight 0),
-    // exactly what the untouched dense voxel holds.
+    const float fx = local.x - x0;
+    const float fy = local.y - y0;
+    const float fz = local.z - z0;
+
+    // Block-local stencil: when the base voxel is not the last of its
+    // block on any axis, all eight corners live in one block, so one
+    // cached lookup and fixed strides replace eight fetches. An
+    // unallocated block holds only unobserved voxels — the invalid +1
+    // sample the dense volume gives there too.
+    const int lx = x0 & blockMask_;
+    const int ly = y0 & blockMask_;
+    const int lz = z0 & blockMask_;
+    if (lx != blockMask_ && ly != blockMask_ && lz != blockMask_) {
+        const Voxel *block =
+            cachedBlock(x0 >> blockShift_, y0 >> blockShift_,
+                        z0 >> blockShift_, cache);
+        if (!block) {
+            valid = false;
+            return 1.0f;
+        }
+        const size_t stride_y = static_cast<size_t>(blockSize_);
+        return blendStrided(
+            block + (static_cast<size_t>(lx) * stride_y +
+                     static_cast<size_t>(ly)) *
+                        stride_y +
+                static_cast<size_t>(lz),
+            stride_y * stride_y, stride_y, fx, fy, fz, valid);
+    }
+
+    // Stencil straddling a block face: resolve each corner through
+    // the block cache. Unallocated blocks contribute the default
+    // voxel (+1, weight 0), exactly what the untouched dense voxel
+    // holds.
     bool any_block = false;
-    const auto fetch = [&](int x, int y, int z) -> const Voxel & {
+    const auto fetch = [&](int x, int y, int z) -> const Voxel * {
         const Voxel *block =
             cachedBlock(x >> blockShift_, y >> blockShift_,
                         z >> blockShift_, cache);
         if (!block)
-            return kUnobserved;
+            return &kUnobserved;
         any_block = true;
-        return block[(static_cast<size_t>(x & blockMask_) *
-                          blockSize_ +
-                      static_cast<size_t>(y & blockMask_)) *
-                         blockSize_ +
-                     static_cast<size_t>(z & blockMask_)];
+        return block + (static_cast<size_t>(x & blockMask_) *
+                            blockSize_ +
+                        static_cast<size_t>(y & blockMask_)) *
+                           blockSize_ +
+               static_cast<size_t>(z & blockMask_);
     };
-    const Voxel &v000 = fetch(x0, y0, z0);
-    const Voxel &v100 = fetch(x0 + 1, y0, z0);
-    const Voxel &v010 = fetch(x0, y0 + 1, z0);
-    const Voxel &v110 = fetch(x0 + 1, y0 + 1, z0);
-    const Voxel &v001 = fetch(x0, y0, z0 + 1);
-    const Voxel &v101 = fetch(x0 + 1, y0, z0 + 1);
-    const Voxel &v011 = fetch(x0, y0 + 1, z0 + 1);
-    const Voxel &v111 = fetch(x0 + 1, y0 + 1, z0 + 1);
-
-    // Empty-space fast path: no stencil block is resident, so every
-    // voxel is unobserved and the dense result would be an invalid +1
-    // sample — skip the weight math entirely.
+    const Voxel *const v[8] = {
+        fetch(x0, y0, z0),
+        fetch(x0 + 1, y0, z0),
+        fetch(x0, y0 + 1, z0),
+        fetch(x0 + 1, y0 + 1, z0),
+        fetch(x0, y0, z0 + 1),
+        fetch(x0 + 1, y0, z0 + 1),
+        fetch(x0, y0 + 1, z0 + 1),
+        fetch(x0 + 1, y0 + 1, z0 + 1),
+    };
+    // No stencil block is resident: every corner is unobserved, so
+    // the sample is invalid without the weight math.
     if (!any_block) {
         valid = false;
         return 1.0f;
     }
-
-    const float fx = local.x - x0;
-    const float fy = local.y - y0;
-    const float fz = local.z - z0;
-    const float wx0 = 1.0f - fx, wx1 = fx;
-    const float wy0 = 1.0f - fy, wy1 = fy;
-    const float wz0 = 1.0f - fz, wz1 = fz;
-
-    const bool any_observed =
-        v000.weight > 0.0f || v100.weight > 0.0f ||
-        v010.weight > 0.0f || v110.weight > 0.0f ||
-        v001.weight > 0.0f || v101.weight > 0.0f ||
-        v011.weight > 0.0f || v111.weight > 0.0f;
-    float value = 0.0f;
-    value += v000.tsdf * wx0 * wy0 * wz0;
-    value += v100.tsdf * wx1 * wy0 * wz0;
-    value += v010.tsdf * wx0 * wy1 * wz0;
-    value += v110.tsdf * wx1 * wy1 * wz0;
-    value += v001.tsdf * wx0 * wy0 * wz1;
-    value += v101.tsdf * wx1 * wy0 * wz1;
-    value += v011.tsdf * wx0 * wy1 * wz1;
-    value += v111.tsdf * wx1 * wy1 * wz1;
-    valid = any_observed;
-    return any_observed ? value : 1.0f;
+    return blendStencil(v, fx, fy, fz, valid);
 }
 
 float

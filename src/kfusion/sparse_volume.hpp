@@ -156,11 +156,16 @@ class SparseTsdfVolume
     float interp(const Vec3f &p, bool &valid) const;
 
     /**
-     * interp() with a caller-held block cache. When every block under
-     * the stencil is unallocated the sample is resolved as invalid
-     * (+1) from the cache alone — the empty-space fast path of the
-     * sparse ray march; the result is still bit-identical to dense
-     * (all-unobserved stencils are invalid there too).
+     * interp() with a caller-held block cache. A stencil inside one
+     * block (base voxel not last in its block on any axis: about
+     * two thirds of samples at B = 8) costs one cached lookup and
+     * fixed-stride reads; a stencil straddling a block face resolves
+     * each corner through the cache. Unallocated blocks read as
+     * unobserved, so a stencil with no resident block is invalid
+     * (+1), bit-identical to dense. This is not an empty-space skip
+     * of the ray march: the integrator fuses the free space in the
+     * frustum (tsdf +1, weight > 0), so nearly every march sample
+     * lands in allocated blocks and the sparse cost is per sample.
      */
     float interpCached(const Vec3f &p, bool &valid,
                        LookupCache &cache) const;
@@ -292,7 +297,10 @@ class SparseTsdfVolume
         return block;
     }
 
-    /** interp() arithmetic shared by the cached/uncached entries. */
+    /**
+     * interp() arithmetic shared by the cached/uncached entries
+     * (see interpCached() for the block-local and straddling paths).
+     */
     float sampleTrilinearCached(float px, float py, float pz,
                                 bool &valid,
                                 LookupCache &cache) const;

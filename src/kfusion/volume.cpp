@@ -54,48 +54,12 @@ TsdfVolume::sampleTrilinear(float px, float py, float pz,
         valid = false;
         return 1.0f;
     }
-    const float fx = local.x - x0;
-    const float fy = local.y - y0;
-    const float fz = local.z - z0;
-    const float wx0 = 1.0f - fx, wx1 = fx;
-    const float wy0 = 1.0f - fy, wy1 = fy;
-    const float wz0 = 1.0f - fz, wz1 = fz;
-
     // One base index; the stencil's seven neighbors are fixed offsets
     // in the z-major layout (+1 in z, +res in y, +res^2 in x).
     const size_t stride_y = static_cast<size_t>(resolution_);
-    const size_t stride_x = stride_y * stride_y;
-    const Voxel *base = voxels_.data() + index(x0, y0, z0);
-    const Voxel &v000 = base[0];
-    const Voxel &v100 = base[stride_x];
-    const Voxel &v010 = base[stride_y];
-    const Voxel &v110 = base[stride_x + stride_y];
-    const Voxel &v001 = base[1];
-    const Voxel &v101 = base[stride_x + 1];
-    const Voxel &v011 = base[stride_y + 1];
-    const Voxel &v111 = base[stride_x + stride_y + 1];
-
-    // Unobserved voxels contribute their initial value (+1, free
-    // space), exactly as the original KinectFusion interpolation
-    // does; the sample is only invalid when *nothing* under the
-    // stencil has ever been observed. The accumulation below keeps
-    // the reference dz/dy/dx loop order so the result is bit-exact.
-    const bool any_observed =
-        v000.weight > 0.0f || v100.weight > 0.0f ||
-        v010.weight > 0.0f || v110.weight > 0.0f ||
-        v001.weight > 0.0f || v101.weight > 0.0f ||
-        v011.weight > 0.0f || v111.weight > 0.0f;
-    float value = 0.0f;
-    value += v000.tsdf * wx0 * wy0 * wz0;
-    value += v100.tsdf * wx1 * wy0 * wz0;
-    value += v010.tsdf * wx0 * wy1 * wz0;
-    value += v110.tsdf * wx1 * wy1 * wz0;
-    value += v001.tsdf * wx0 * wy0 * wz1;
-    value += v101.tsdf * wx1 * wy0 * wz1;
-    value += v011.tsdf * wx0 * wy1 * wz1;
-    value += v111.tsdf * wx1 * wy1 * wz1;
-    valid = any_observed;
-    return any_observed ? value : 1.0f;
+    return blendStrided(voxels_.data() + index(x0, y0, z0),
+                        stride_y * stride_y, stride_y, local.x - x0,
+                        local.y - y0, local.z - z0, valid);
 }
 
 float

@@ -35,6 +35,70 @@ struct Voxel
 };
 
 /**
+ * Trilinear blend of one 2x2x2 interpolation stencil: the arithmetic
+ * every TSDF sampler shares (dense, sparse block-local, sparse
+ * block-straddling), so their results are bit-identical by
+ * construction.
+ *
+ * Unobserved voxels contribute their initial value (+1, free space),
+ * exactly as the original KinectFusion interpolation does; the sample
+ * is only invalid when *nothing* under the stencil has ever been
+ * observed. The accumulation keeps the reference dz/dy/dx loop order.
+ *
+ * @param v Stencil corners; corner (dx, dy, dz) is
+ *          v[dx | dy << 1 | dz << 2].
+ * @param fx,fy,fz Position inside the stencil, each in [0, 1).
+ * @param[out] valid False when no corner was ever observed.
+ * @return the blended normalized TSDF (1 when invalid).
+ */
+inline float
+blendStencil(const Voxel *const (&v)[8], float fx, float fy, float fz,
+             bool &valid)
+{
+    const float wx0 = 1.0f - fx, wx1 = fx;
+    const float wy0 = 1.0f - fy, wy1 = fy;
+    const float wz0 = 1.0f - fz, wz1 = fz;
+    const bool any_observed =
+        v[0]->weight > 0.0f || v[1]->weight > 0.0f ||
+        v[2]->weight > 0.0f || v[3]->weight > 0.0f ||
+        v[4]->weight > 0.0f || v[5]->weight > 0.0f ||
+        v[6]->weight > 0.0f || v[7]->weight > 0.0f;
+    float value = 0.0f;
+    value += v[0]->tsdf * wx0 * wy0 * wz0;
+    value += v[1]->tsdf * wx1 * wy0 * wz0;
+    value += v[2]->tsdf * wx0 * wy1 * wz0;
+    value += v[3]->tsdf * wx1 * wy1 * wz0;
+    value += v[4]->tsdf * wx0 * wy0 * wz1;
+    value += v[5]->tsdf * wx1 * wy0 * wz1;
+    value += v[6]->tsdf * wx0 * wy1 * wz1;
+    value += v[7]->tsdf * wx1 * wy1 * wz1;
+    valid = any_observed;
+    return any_observed ? value : 1.0f;
+}
+
+/**
+ * blendStencil() over a stencil stored z-major at fixed strides from
+ * its (0, 0, 0) corner @p base (+1 in z, +stride_y in y, +stride_x
+ * in x): one base address instead of eight index computations.
+ */
+inline float
+blendStrided(const Voxel *base, size_t stride_x, size_t stride_y,
+             float fx, float fy, float fz, bool &valid)
+{
+    const Voxel *const v[8] = {
+        base,
+        base + stride_x,
+        base + stride_y,
+        base + stride_x + stride_y,
+        base + 1,
+        base + stride_x + 1,
+        base + stride_y + 1,
+        base + stride_x + stride_y + 1,
+    };
+    return blendStencil(v, fx, fy, fz, valid);
+}
+
+/**
  * Cubic, uniform TSDF volume positioned in world space.
  *
  * Values are normalized: tsdf = clamp(signed_distance / mu, -1, 1).

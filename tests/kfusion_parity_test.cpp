@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "dataset/generator.hpp"
 #include "kfusion/backend.hpp"
@@ -24,6 +27,7 @@
 #include "kfusion/tracking.hpp"
 #include "kfusion/volume.hpp"
 #include "math/se3.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -680,97 +684,113 @@ TEST(SparseParity, MatchesDenseAcrossFusedFramesPooled)
     }
 }
 
-/** A sparse copy of FusedVolume's dense fixture content. */
+/**
+ * Sparse copies of FusedVolume's dense fixture content, one per block
+ * size (8 and 16): every test below runs against both.
+ */
 class SparseFusedVolume : public FusedVolume
 {
   protected:
     SparseFusedVolume()
-        : sparse_(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0)
     {
-        WorkCounts counts;
-        Image<float> wall(k_.width, k_.height, 1.0f);
-        sparse_.integrate(wall, k_, Mat4f{}, 0.1f, 100.0f, counts,
-                          nullptr);
-        const Image<float> depth = makeDepth(k_, 31);
-        sparse_.integrate(depth, k_, Mat4f{}, 0.1f, 100.0f, counts,
-                          nullptr);
+        for (int block_size : {8, 16}) {
+            auto sparse = std::make_unique<SparseTsdfVolume>(
+                48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, block_size, 0);
+            WorkCounts counts;
+            Image<float> wall(k_.width, k_.height, 1.0f);
+            sparse->integrate(wall, k_, Mat4f{}, 0.1f, 100.0f, counts,
+                              nullptr);
+            const Image<float> depth = makeDepth(k_, 31);
+            sparse->integrate(depth, k_, Mat4f{}, 0.1f, 100.0f,
+                              counts, nullptr);
+            sparse_.push_back(std::move(sparse));
+        }
     }
 
-    SparseTsdfVolume sparse_;
+    std::vector<std::unique_ptr<SparseTsdfVolume>> sparse_;
 };
 
 TEST_F(SparseFusedVolume, InterpMatchesDenseEverywhere)
 {
-    Rng rng(7);
-    SparseTsdfVolume::LookupCache cache;
-    for (int i = 0; i < 20000; ++i) {
-        const Vec3f p{
-            static_cast<float>(rng.uniform(-1.1, 1.1)),
-            static_cast<float>(rng.uniform(-1.1, 1.1)),
-            static_cast<float>(rng.uniform(-0.1, 2.1))};
-        bool dense_valid = false, sparse_valid = false,
-             cached_valid = false;
-        const float dense_v = volume_.interp(p, dense_valid);
-        const float sparse_v = sparse_.interp(p, sparse_valid);
-        const float cached_v =
-            sparse_.interpCached(p, cached_valid, cache);
-        ASSERT_EQ(sparse_v, dense_v)
-            << "at " << p.x << ", " << p.y << ", " << p.z;
-        ASSERT_EQ(sparse_valid, dense_valid);
-        ASSERT_EQ(cached_v, dense_v);
-        ASSERT_EQ(cached_valid, dense_valid);
+    for (const auto &sparse : sparse_) {
+        SCOPED_TRACE(sparse->blockSize());
+        Rng rng(7);
+        SparseTsdfVolume::LookupCache cache;
+        for (int i = 0; i < 20000; ++i) {
+            const Vec3f p{
+                static_cast<float>(rng.uniform(-1.1, 1.1)),
+                static_cast<float>(rng.uniform(-1.1, 1.1)),
+                static_cast<float>(rng.uniform(-0.1, 2.1))};
+            bool dense_valid = false, sparse_valid = false,
+                 cached_valid = false;
+            const float dense_v = volume_.interp(p, dense_valid);
+            const float sparse_v = sparse->interp(p, sparse_valid);
+            const float cached_v =
+                sparse->interpCached(p, cached_valid, cache);
+            ASSERT_EQ(sparse_v, dense_v)
+                << "at " << p.x << ", " << p.y << ", " << p.z;
+            ASSERT_EQ(sparse_valid, dense_valid);
+            ASSERT_EQ(cached_v, dense_v);
+            ASSERT_EQ(cached_valid, dense_valid);
+        }
     }
 }
 
 TEST_F(SparseFusedVolume, GradMatchesDenseEverywhere)
 {
-    Rng rng(8);
-    SparseTsdfVolume::LookupCache cache;
-    for (int i = 0; i < 20000; ++i) {
-        const Vec3f p{
-            static_cast<float>(rng.uniform(-1.1, 1.1)),
-            static_cast<float>(rng.uniform(-1.1, 1.1)),
-            static_cast<float>(rng.uniform(-0.1, 2.1))};
-        const Vec3f dense_g = volume_.grad(p);
-        const Vec3f sparse_g = sparse_.grad(p);
-        const Vec3f cached_g = sparse_.gradCached(p, cache);
-        ASSERT_EQ(sparse_g.x, dense_g.x)
-            << "at " << p.x << ", " << p.y << ", " << p.z;
-        ASSERT_EQ(sparse_g.y, dense_g.y);
-        ASSERT_EQ(sparse_g.z, dense_g.z);
-        ASSERT_EQ(cached_g.x, dense_g.x);
-        ASSERT_EQ(cached_g.y, dense_g.y);
-        ASSERT_EQ(cached_g.z, dense_g.z);
+    for (const auto &sparse : sparse_) {
+        SCOPED_TRACE(sparse->blockSize());
+        Rng rng(8);
+        SparseTsdfVolume::LookupCache cache;
+        for (int i = 0; i < 20000; ++i) {
+            const Vec3f p{
+                static_cast<float>(rng.uniform(-1.1, 1.1)),
+                static_cast<float>(rng.uniform(-1.1, 1.1)),
+                static_cast<float>(rng.uniform(-0.1, 2.1))};
+            const Vec3f dense_g = volume_.grad(p);
+            const Vec3f sparse_g = sparse->grad(p);
+            const Vec3f cached_g = sparse->gradCached(p, cache);
+            ASSERT_EQ(sparse_g.x, dense_g.x)
+                << "at " << p.x << ", " << p.y << ", " << p.z;
+            ASSERT_EQ(sparse_g.y, dense_g.y);
+            ASSERT_EQ(sparse_g.z, dense_g.z);
+            ASSERT_EQ(cached_g.x, dense_g.x);
+            ASSERT_EQ(cached_g.y, dense_g.y);
+            ASSERT_EQ(cached_g.z, dense_g.z);
+        }
     }
 }
 
 TEST_F(SparseFusedVolume, CastRayMatchesDense)
 {
     const RaycastParams params = testParams(volume_);
-    Rng rng(9);
-    SparseTsdfVolume::LookupCache cache;
-    for (int i = 0; i < 500; ++i) {
-        const Vec3f origin{
-            static_cast<float>(rng.uniform(-0.5, 0.5)),
-            static_cast<float>(rng.uniform(-0.5, 0.5)),
-            static_cast<float>(rng.uniform(-0.5, 0.3))};
-        Vec3f dir{static_cast<float>(rng.uniform(-0.4, 0.4)),
-                  static_cast<float>(rng.uniform(-0.4, 0.4)),
-                  static_cast<float>(rng.uniform(0.5, 1.0))};
-        dir = dir * (1.0f / dir.norm());
-        Vec3f dense_hit, sparse_hit;
-        int dense_steps = 0, sparse_steps = 0;
-        const bool dense_found = castRay(
-            volume_, origin, dir, params, dense_hit, dense_steps);
-        const bool sparse_found =
-            castRay(sparse_, origin, dir, params, sparse_hit,
-                    sparse_steps, cache);
-        ASSERT_EQ(sparse_found, dense_found) << "ray " << i;
-        ASSERT_EQ(sparse_steps, dense_steps);
-        if (dense_found) {
-            ASSERT_EQ(sparse_hit.x, dense_hit.x) << "ray " << i;
-            ASSERT_EQ(sparse_hit.y, dense_hit.y);
-            ASSERT_EQ(sparse_hit.z, dense_hit.z);
+    for (const auto &sparse : sparse_) {
+        SCOPED_TRACE(sparse->blockSize());
+        Rng rng(9);
+        SparseTsdfVolume::LookupCache cache;
+        for (int i = 0; i < 500; ++i) {
+            const Vec3f origin{
+                static_cast<float>(rng.uniform(-0.5, 0.5)),
+                static_cast<float>(rng.uniform(-0.5, 0.5)),
+                static_cast<float>(rng.uniform(-0.5, 0.3))};
+            Vec3f dir{static_cast<float>(rng.uniform(-0.4, 0.4)),
+                      static_cast<float>(rng.uniform(-0.4, 0.4)),
+                      static_cast<float>(rng.uniform(0.5, 1.0))};
+            dir = dir * (1.0f / dir.norm());
+            Vec3f dense_hit, sparse_hit;
+            int dense_steps = 0, sparse_steps = 0;
+            const bool dense_found = castRay(
+                volume_, origin, dir, params, dense_hit, dense_steps);
+            const bool sparse_found =
+                castRay(*sparse, origin, dir, params, sparse_hit,
+                        sparse_steps, cache);
+            ASSERT_EQ(sparse_found, dense_found) << "ray " << i;
+            ASSERT_EQ(sparse_steps, dense_steps);
+            if (dense_found) {
+                ASSERT_EQ(sparse_hit.x, dense_hit.x) << "ray " << i;
+                ASSERT_EQ(sparse_hit.y, dense_hit.y);
+                ASSERT_EQ(sparse_hit.z, dense_hit.z);
+            }
         }
     }
 }
@@ -787,24 +807,32 @@ TEST_F(SparseFusedVolume, RaycastKernelMatchesDenseSerialAndPooled)
     ThreadPool pool(3);
     for (const Mat4f &view : views) {
         Image<Vec3f> vertex_ref, normal_ref;
-        WorkCounts counts;
+        WorkCounts ref_counts;
         raycastKernel(vertex_ref, normal_ref, volume_, k_, view,
-                      params, counts, nullptr);
-        for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
-                              &pool}) {
-            Image<Vec3f> vertex, normal;
-            raycastKernel(vertex, normal, sparse_, k_, view, params,
-                          counts, p);
-            ASSERT_EQ(vertex.size(), vertex_ref.size());
-            for (size_t i = 0; i < vertex.size(); ++i) {
-                ASSERT_EQ(vertex[i].x, vertex_ref[i].x)
-                    << "pixel " << i;
-                ASSERT_EQ(vertex[i].y, vertex_ref[i].y);
-                ASSERT_EQ(vertex[i].z, vertex_ref[i].z);
-                ASSERT_EQ(normal[i].x, normal_ref[i].x)
-                    << "pixel " << i;
-                ASSERT_EQ(normal[i].y, normal_ref[i].y);
-                ASSERT_EQ(normal[i].z, normal_ref[i].z);
+                      params, ref_counts, nullptr);
+        for (const auto &sparse : sparse_) {
+            SCOPED_TRACE(sparse->blockSize());
+            for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
+                                  &pool}) {
+                Image<Vec3f> vertex, normal;
+                WorkCounts counts;
+                raycastKernel(vertex, normal, *sparse, k_, view,
+                              params, counts, p);
+                // The device models price the marching steps, so the
+                // sparse march must take exactly the dense steps.
+                ASSERT_EQ(counts.itemsFor(KernelId::Raycast),
+                          ref_counts.itemsFor(KernelId::Raycast));
+                ASSERT_EQ(vertex.size(), vertex_ref.size());
+                for (size_t i = 0; i < vertex.size(); ++i) {
+                    ASSERT_EQ(vertex[i].x, vertex_ref[i].x)
+                        << "pixel " << i;
+                    ASSERT_EQ(vertex[i].y, vertex_ref[i].y);
+                    ASSERT_EQ(vertex[i].z, vertex_ref[i].z);
+                    ASSERT_EQ(normal[i].x, normal_ref[i].x)
+                        << "pixel " << i;
+                    ASSERT_EQ(normal[i].y, normal_ref[i].y);
+                    ASSERT_EQ(normal[i].z, normal_ref[i].z);
+                }
             }
         }
     }
@@ -813,18 +841,22 @@ TEST_F(SparseFusedVolume, RaycastKernelMatchesDenseSerialAndPooled)
 TEST_F(SparseFusedVolume, RenderVolumeMatchesDense)
 {
     const RaycastParams params = testParams(volume_);
-    Image<slambench::support::Rgb8> reference, tested;
+    Image<slambench::support::Rgb8> reference;
     WorkCounts counts;
     ThreadPool pool(3);
     renderVolumeKernel(reference, volume_, k_, Mat4f{}, params,
                        counts, nullptr);
-    renderVolumeKernel(tested, sparse_, k_, Mat4f{}, params, counts,
-                       &pool);
-    ASSERT_EQ(tested.size(), reference.size());
-    for (size_t i = 0; i < tested.size(); ++i) {
-        ASSERT_EQ(tested[i].r, reference[i].r) << "pixel " << i;
-        ASSERT_EQ(tested[i].g, reference[i].g);
-        ASSERT_EQ(tested[i].b, reference[i].b);
+    for (const auto &sparse : sparse_) {
+        SCOPED_TRACE(sparse->blockSize());
+        Image<slambench::support::Rgb8> tested;
+        renderVolumeKernel(tested, *sparse, k_, Mat4f{}, params,
+                           counts, &pool);
+        ASSERT_EQ(tested.size(), reference.size());
+        for (size_t i = 0; i < tested.size(); ++i) {
+            ASSERT_EQ(tested[i].r, reference[i].r) << "pixel " << i;
+            ASSERT_EQ(tested[i].g, reference[i].g);
+            ASSERT_EQ(tested[i].b, reference[i].b);
+        }
     }
 }
 
@@ -914,6 +946,176 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
                     ASSERT_EQ(pose(r, c), reference_poses[f](r, c))
                         << "frame " << f << " element (" << r << ", "
                         << c << ")";
+        }
+    }
+}
+
+// --- render reuse ---
+//
+// KFusion::renderModel shades the last raycast's normal map instead
+// of marching again when the view pose and intrinsics are bit-equal
+// to the raycast's and the volume is unchanged since. Either way the
+// render must equal a fresh march of the pipeline's volume, pixel for
+// pixel, and charge RenderVolume the same items and bytes.
+
+/** A pipeline run over the first frames of a short sequence. */
+struct ReuseRun
+{
+    slambench::dataset::Sequence seq;
+    std::unique_ptr<KFusion> kf;
+};
+
+/**
+ * Run @p frames frames of an 80x60 (times @p csr) sequence through a
+ * KFusion on @p volume with block size @p block_size.
+ */
+ReuseRun
+runPipeline(const std::string &volume, int block_size, int csr,
+            size_t frames, int tracking_rate = 1)
+{
+    slambench::dataset::SequenceSpec spec;
+    spec.width = 80 * static_cast<size_t>(csr);
+    spec.height = 60 * static_cast<size_t>(csr);
+    spec.numFrames = 6;
+    spec.renderRgb = false;
+    spec.seed = 42;
+    ReuseRun run{slambench::dataset::generateSequence(spec), nullptr};
+
+    KFusionConfig config;
+    config.volumeResolution = 64;
+    config.pyramidIterations = {6, 4, 3};
+    config.volumeBackend = volume;
+    config.volumeBlockSize = block_size;
+    config.computeSizeRatio = csr;
+    config.trackingRate = tracking_rate;
+    run.kf = std::make_unique<KFusion>(config, run.seq.intrinsics);
+    run.kf->setPose(run.seq.groundTruth.pose(0));
+    for (size_t f = 0; f < frames; ++f)
+        run.kf->processFrame(run.seq.frames[f].depthMm);
+    return run;
+}
+
+/**
+ * renderModel(view, k) against a marched render at (view,
+ * marched_k): identical pixels and RenderVolume items and bytes.
+ *
+ * @return whether renderModel reused the raycast.
+ */
+bool
+expectRenderMatchesMarched(KFusion &kf, const Mat4f &view,
+                           const CameraIntrinsics *k,
+                           const CameraIntrinsics &marched_k)
+{
+    slambench::support::metrics::Counter &reuses =
+        slambench::support::metrics::Registry::instance().counter(
+            "pipeline.render_reuses");
+    const uint64_t reuses_before = reuses.value();
+    const WorkCounts before = kf.totalWork();
+    Image<slambench::support::Rgb8> rendered;
+    kf.renderModel(rendered, view, k);
+    const bool reused = reuses.value() != reuses_before;
+
+    Image<slambench::support::Rgb8> marched;
+    WorkCounts marched_work;
+    kf.volume().renderVolume(marched, marched_k, view,
+                             kf.raycastParams(), marched_work, nullptr);
+    EXPECT_EQ(kf.totalWork().itemsFor(KernelId::RenderVolume) -
+                  before.itemsFor(KernelId::RenderVolume),
+              marched_work.itemsFor(KernelId::RenderVolume));
+    EXPECT_EQ(kf.totalWork().bytesFor(KernelId::RenderVolume) -
+                  before.bytesFor(KernelId::RenderVolume),
+              marched_work.bytesFor(KernelId::RenderVolume));
+    EXPECT_GT(marched_work.itemsFor(KernelId::RenderVolume), 0.0);
+    EXPECT_EQ(rendered.width(), marched.width());
+    EXPECT_EQ(rendered.height(), marched.height());
+    size_t lit = 0;
+    for (size_t i = 0; i < marched.size() && i < rendered.size();
+         ++i) {
+        EXPECT_EQ(rendered[i], marched[i]) << "pixel " << i;
+        if (rendered[i] != marched[i])
+            break;
+        lit += !(marched[i] == slambench::support::Rgb8{20, 20, 28});
+    }
+    // A render of mostly background would prove little.
+    EXPECT_GT(lit, marched.size() / 4);
+    return reused;
+}
+
+/** Volume backends the reuse tests run on: {backend, block size}. */
+const std::pair<const char *, int> kReuseVolumes[] = {
+    {"dense", 8}, {"sparse", 8}, {"sparse", 16}};
+
+TEST(RenderReuse, RaycastViewMatchesMarchedRender)
+{
+    for (const auto &[volume, block_size] : kReuseVolumes) {
+        SCOPED_TRACE(::testing::Message() << volume << " B="
+                                          << block_size);
+        ReuseRun run = runPipeline(volume, block_size, 1, 4);
+        KFusion &kf = *run.kf;
+        const CameraIntrinsics k = kf.computeIntrinsics();
+        EXPECT_TRUE(expectRenderMatchesMarched(kf, kf.pose(), &k, k));
+        // The reuse charges the raycast's steps: the same rays.
+        EXPECT_EQ(kf.frameWork().back().itemsFor(KernelId::Raycast),
+                  kf.frameWork().back().itemsFor(
+                      KernelId::RenderVolume));
+    }
+}
+
+TEST(RenderReuse, FallsBackToMarchingWhenViewOrVolumeChanged)
+{
+    for (const auto &[volume, block_size] : kReuseVolumes) {
+        SCOPED_TRACE(::testing::Message() << volume << " B="
+                                          << block_size);
+        {
+            // Another pose: different rays.
+            ReuseRun run = runPipeline(volume, block_size, 1, 4);
+            KFusion &kf = *run.kf;
+            const CameraIntrinsics k = kf.computeIntrinsics();
+            const Mat4f moved =
+                Mat4f::translation(Vec3f{0.02f, -0.01f, 0.0f}) *
+                kf.pose();
+            EXPECT_FALSE(expectRenderMatchesMarched(kf, moved, &k, k));
+        }
+        {
+            // The GUI default renders at the input intrinsics, twice
+            // the compute resolution here.
+            ReuseRun run = runPipeline(volume, block_size, 2, 4);
+            KFusion &kf = *run.kf;
+            EXPECT_FALSE(expectRenderMatchesMarched(
+                kf, kf.pose(), nullptr, run.seq.intrinsics));
+            const CameraIntrinsics k = kf.computeIntrinsics();
+            EXPECT_TRUE(expectRenderMatchesMarched(kf, kf.pose(), &k, k));
+        }
+        {
+            // A view raycast before the latest integrate: processFrame
+            // raycasts again after every integrate, at the new pose,
+            // so the old view marches the updated volume.
+            ReuseRun run = runPipeline(volume, block_size, 1, 2);
+            KFusion &kf = *run.kf;
+            const Mat4f old_view = kf.pose();
+            ASSERT_TRUE(
+                kf.processFrame(run.seq.frames[2].depthMm).integrated);
+            ASSERT_NE(std::memcmp(old_view.m, kf.pose().m,
+                                  sizeof old_view.m),
+                      0);
+            const CameraIntrinsics k = kf.computeIntrinsics();
+            EXPECT_FALSE(
+                expectRenderMatchesMarched(kf, old_view, &k, k));
+        }
+        {
+            // Tracking skipped: the frame integrates and raycasts at
+            // the unchanged pose, so the render at that view reuses
+            // the fresh raycast of the updated volume.
+            ReuseRun run = runPipeline(volume, block_size, 1, 3, 2);
+            KFusion &kf = *run.kf;
+            const Mat4f view = kf.pose();
+            const FrameResult frame =
+                kf.processFrame(run.seq.frames[3].depthMm);
+            ASSERT_TRUE(frame.integrated);
+            ASSERT_EQ(std::memcmp(view.m, kf.pose().m, sizeof view.m),
+                      0);
+            const CameraIntrinsics k = kf.computeIntrinsics();
+            EXPECT_TRUE(expectRenderMatchesMarched(kf, view, &k, k));
         }
     }
 }

@@ -393,6 +393,68 @@ TEST_F(BoundaryStencil, BlockSize16StencilsMatchDense)
     }
 }
 
+TEST_F(BoundaryStencil, OneTwoAndThreeAxisStraddlesMatchDense)
+{
+    // Per axis a stencil anchored at voxel a spans {a, a + 1}: block
+    // local when a is mid-block, straddling a block face when a is
+    // the block's last voxel. Anchors from {mid, last}^3 cover the
+    // block-local fast path and every one-, two- and three-axis
+    // straddle of the eight-fetch path, for both block sizes.
+    for (int bs : {8, 16}) {
+        SCOPED_TRACE(bs);
+        const int mid = bs / 2 - 1;
+        const int last = bs - 1;
+        TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+        SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
+                                bs, 0);
+        const int coords[] = {mid, mid + 1, last, last + 1};
+        for (int x : coords)
+            for (int y : coords)
+                for (int z : coords) {
+                    const float tsdf =
+                        0.03125f * static_cast<float>(x - 2 * y + z) -
+                        0.25f;
+                    const float weight = 1.0f + static_cast<float>(z);
+                    dense.at(x, y, z) = Voxel{tsdf, weight};
+                    setVoxel(sparse, x, y, z, tsdf, weight);
+                }
+
+        SparseTsdfVolume::LookupCache cache;
+        Rng rng(static_cast<uint64_t>(bs));
+        for (int ax : {mid, last})
+            for (int ay : {mid, last})
+                for (int az : {mid, last}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "anchor " << ax << ", " << ay
+                                 << ", " << az);
+                    const Vec3f base = dense.voxelCenter(ax, ay, az);
+                    for (int i = 0; i < 100; ++i) {
+                        const Vec3f p =
+                            base +
+                            Vec3f{static_cast<float>(
+                                      rng.uniform(0.01, 0.99)),
+                                  static_cast<float>(
+                                      rng.uniform(0.01, 0.99)),
+                                  static_cast<float>(
+                                      rng.uniform(0.01, 0.99))} *
+                                dense.voxelSize();
+                        bool dv = false, sv = false, cv = false;
+                        const float d = dense.interp(p, dv);
+                        ASSERT_TRUE(dv);
+                        ASSERT_EQ(sparse.interp(p, sv), d);
+                        ASSERT_EQ(sv, dv);
+                        ASSERT_EQ(sparse.interpCached(p, cv, cache), d);
+                        ASSERT_EQ(cv, dv);
+                        const Vec3f dg = dense.grad(p);
+                        const Vec3f sg = sparse.gradCached(p, cache);
+                        ASSERT_EQ(sg.x, dg.x);
+                        ASSERT_EQ(sg.y, dg.y);
+                        ASSERT_EQ(sg.z, dg.z);
+                    }
+                }
+    }
+}
+
 // --- memory accounting ---
 
 TEST(SparseVolume, MemoryStatsTrackResidency)
