@@ -104,6 +104,24 @@ loadSequenceRaw(const std::string &path, Sequence &sequence)
     if (w == 0 || h == 0 || frames == 0)
         return false;
 
+    // The header's claimed payload must fit in what the file still
+    // holds, checked before anything is sized from it: a corrupt count
+    // or resolution would otherwise ask for terabytes. 128-bit
+    // arithmetic cannot overflow (< 2^32 * (72 + 5 * 2^64)).
+    const std::streampos body = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff left = in.tellg() - body;
+    in.seekg(body);
+    if (!in || left < 0)
+        return false;
+    using u128 = unsigned __int128;
+    // Per frame: f64 timestamp, f32 pose[16], u16 depth, rgb8.
+    const u128 pixel_bytes = has_rgb ? 5 : 2;
+    const u128 frame_bytes = sizeof(double) + 16 * sizeof(float) +
+                             u128{w} * h * pixel_bytes;
+    if (u128{frames} * frame_bytes > static_cast<u128>(left))
+        return false;
+
     sequence = Sequence{};
     sequence.spec.width = w;
     sequence.spec.height = h;

@@ -48,7 +48,9 @@ bool saveSequenceRaw(const Sequence &sequence, const std::string &path);
  * @param path Source file.
  * @param[out] sequence Replaced on success. The spec field holds
  *             only what the format stores (dimensions/frames/fps).
- * @return true when the file parsed completely.
+ * @return true when the file parsed completely; false, before any
+ *         frame is allocated, when the header claims more frame data
+ *         than the file holds.
  */
 bool loadSequenceRaw(const std::string &path, Sequence &sequence);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace slambench::dataset {
 
@@ -43,6 +44,43 @@ sdCylinderY(const Vec3f &p, float radius, float half_height)
     return outside + inside;
 }
 
+/**
+ * Slack added to every bound before culling, meters: three orders of
+ * magnitude above float error at room scale, so a skipped primitive's
+ * computed distance is strictly above the running minimum.
+ */
+constexpr float kCullMargin = 1e-3f;
+
+/** Radius about prim.center of a ball containing the primitive. */
+float
+boundingRadius(const Primitive &prim)
+{
+    switch (prim.kind) {
+      case PrimitiveKind::Sphere:
+        return prim.params.x;
+      case PrimitiveKind::Box: // yaw does not change the norm
+        return prim.params.norm() + prim.rounding;
+      case PrimitiveKind::Cylinder:
+        return std::sqrt(prim.params.x * prim.params.x +
+                         prim.params.y * prim.params.y);
+      case PrimitiveKind::InvertedBox:
+      case PrimitiveKind::Plane:
+        break;
+    }
+    return std::numeric_limits<float>::infinity();
+}
+
+/**
+ * @return true when a primitive centered at @p center inside radius
+ * @p bound cannot have a distance below @p best at @p p.
+ */
+bool
+culled(const Vec3f &p, const Vec3f &center, float bound, float best)
+{
+    const float reach = best + bound + kCullMargin;
+    return reach <= 0.0f || (p - center).squaredNorm() > reach * reach;
+}
+
 } // namespace
 
 float
@@ -69,12 +107,22 @@ primitiveDistance(const Primitive &prim, const Vec3f &p)
     return prim.center.norm(); // unreachable
 }
 
+int
+Scene::add(const Primitive &p)
+{
+    primitives_.push_back(p);
+    bounds_.push_back(boundingRadius(p));
+    return static_cast<int>(primitives_.size()) - 1;
+}
+
 SdfSample
 Scene::evaluate(const Vec3f &p) const
 {
     SdfSample best;
     best.distance = farClip_;
     for (size_t i = 0; i < primitives_.size(); ++i) {
+        if (culled(p, primitives_[i].center, bounds_[i], best.distance))
+            continue;
         const float d = primitiveDistance(primitives_[i], p);
         if (d < best.distance) {
             best.distance = d;
@@ -88,8 +136,10 @@ float
 Scene::distance(const Vec3f &p) const
 {
     float best = farClip_;
-    for (const Primitive &prim : primitives_)
-        best = std::min(best, primitiveDistance(prim, p));
+    for (size_t i = 0; i < primitives_.size(); ++i) {
+        if (!culled(p, primitives_[i].center, bounds_[i], best))
+            best = std::min(best, primitiveDistance(primitives_[i], p));
+    }
     return best;
 }
 

@@ -67,13 +67,11 @@ struct SdfSample
 class Scene
 {
   public:
-    /** Append a primitive. @return its index. */
-    int
-    add(const Primitive &p)
-    {
-        primitives_.push_back(p);
-        return static_cast<int>(primitives_.size()) - 1;
-    }
+    /**
+     * Append a primitive and record its bounding radius for the cull
+     * in evaluate() and distance(). @return its index.
+     */
+    int add(const Primitive &p);
 
     /** @return all primitives, in insertion order. */
     const std::vector<Primitive> &primitives() const { return primitives_; }
@@ -82,14 +80,27 @@ class Scene
     size_t size() const { return primitives_.size(); }
 
     /**
-     * Evaluate the scene SDF (min-union over primitives).
+     * Evaluate the scene SDF (min-union over primitives), with the
+     * bounding-sphere cull described at distance().
      *
      * @param p World-space query point.
      * @return signed distance and the index of the nearest primitive.
      */
     SdfSample evaluate(const Vec3f &p) const;
 
-    /** Signed distance only (slightly cheaper than evaluate()). */
+    /**
+     * Signed distance only; bit-equal to evaluate().distance.
+     *
+     * Both skip, without evaluating it, every primitive that cannot
+     * beat the running minimum. Each finite primitive lies inside a
+     * ball of radius R about its center c, so |p - c| - R is a lower
+     * bound of its signed distance, inside the primitive and out. A
+     * primitive whose bound exceeds the running minimum by more than
+     * a 1 mm float-error margin can never win, so the result (the
+     * distance bits and evaluate()'s first-index tie rule) is the
+     * same as a loop over every primitive. Inverted boxes and planes
+     * are never skipped.
+     */
     float distance(const Vec3f &p) const;
 
     /**
@@ -107,6 +118,9 @@ class Scene
 
   private:
     std::vector<Primitive> primitives_;
+    /** Bounding radius per primitive about its center; infinite for
+     *  the kinds that are never culled. */
+    std::vector<float> bounds_;
     float farClip_ = 20.0f;
 };
 

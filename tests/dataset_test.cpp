@@ -122,6 +122,75 @@ TEST(Sdf, SceneNormalPointsOutward)
     EXPECT_NEAR(n.norm(), 1.0f, 1e-4f);
 }
 
+/** Min-union over every primitive, with no cull: the reference. */
+SdfSample
+bruteForceEvaluate(const Scene &scene, const Vec3f &p)
+{
+    SdfSample best;
+    best.distance = scene.farClip();
+    for (size_t i = 0; i < scene.size(); ++i) {
+        const float d = primitiveDistance(scene.primitives()[i], p);
+        if (d < best.distance) {
+            best.distance = d;
+            best.primitive = static_cast<int>(i);
+        }
+    }
+    return best;
+}
+
+bool
+sameFloatBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(Sdf, CulledSceneMatchesBruteForce)
+{
+    // Half the points fill the room shell and a 25 cm band outside
+    // its walls; the other half land in or just around one
+    // primitive's bounding ball, where the cull's margin is tightest.
+    constexpr size_t kPoints = 1u << 20;
+    for (SceneId id : {SceneId::LivingRoom, SceneId::Office}) {
+        const Scene scene = makeScene(id);
+        const Primitive &room = scene.primitives().front();
+        ASSERT_EQ(room.kind, PrimitiveKind::InvertedBox);
+        const Vec3f room_half = room.params + Vec3f{0.25f, 0.25f, 0.25f};
+        Rng rng(1234 + static_cast<int>(id));
+        size_t mismatches = 0;
+        for (size_t n = 0; n < kPoints; ++n) {
+            const Vec3f unit{static_cast<float>(rng.uniform(-1.0, 1.0)),
+                             static_cast<float>(rng.uniform(-1.0, 1.0)),
+                             static_cast<float>(rng.uniform(-1.0, 1.0))};
+            Vec3f p;
+            if (n % 2 == 0) {
+                p = room.center + Vec3f{unit.x * room_half.x,
+                                        unit.y * room_half.y,
+                                        unit.z * room_half.z};
+            } else {
+                const Primitive &prim =
+                    scene.primitives()[rng.uniformInt(scene.size())];
+                const float reach =
+                    prim.params.norm() + prim.rounding + 0.1f;
+                p = prim.center + unit * reach;
+            }
+            const SdfSample want = bruteForceEvaluate(scene, p);
+            const SdfSample got = scene.evaluate(p);
+            const bool same =
+                sameFloatBits(got.distance, want.distance) &&
+                got.primitive == want.primitive &&
+                sameFloatBits(scene.distance(p), want.distance);
+            if (!same && mismatches++ < 5) {
+                ADD_FAILURE() << "scene " << static_cast<int>(id)
+                              << " point (" << p.x << ", " << p.y << ", "
+                              << p.z << "): culled " << got.distance
+                              << " #" << got.primitive << ", brute "
+                              << want.distance << " #" << want.primitive;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "scene " << static_cast<int>(id);
+    }
+}
+
 // --- Scenes ---
 
 TEST(Scene, LivingRoomHasFurnitureInsideVolume)
@@ -381,6 +450,72 @@ TEST(Renderer, OfficeFrameDigest)
     expectDigests(digestFrame(scene, 30),
                   {0xe1299558850e88b1ULL, 0x0a591b5a3f19e9f8ULL,
                    0xd8c754baf7ee2a74ULL, 0x371669ab37d0e573ULL});
+}
+
+/**
+ * Render pose @p index of 16 along @p preset at 160x120, the stream
+ * shape the serve benchmark's tenants use. No RGB: the digest covers
+ * depth, cosIncidence and primitive ids.
+ */
+FrameDigests
+digestServeFrame(const Scene &scene, TrajectoryPreset preset, size_t index)
+{
+    const auto intrinsics =
+        slambench::math::CameraIntrinsics::fromFov(160, 120, 1.02f);
+    const Trajectory traj =
+        Trajectory::fromSpline(presetSpec(preset), 16, 30.0);
+    RenderOptions options;
+    options.shadeRgb = false;
+    const RenderResult r =
+        renderFrame(scene, intrinsics, traj.pose(index), options);
+    return {fnv1a(r.depth), fnv1a(r.cosIncidence), fnv1a(r.primitive), 0};
+}
+
+TEST(Renderer, ServePresetDigests)
+{
+    // Close-up poses put the camera next to furniture, where the
+    // scene's bounding-sphere cull has the least slack.
+    struct Case
+    {
+        SceneId scene;
+        TrajectoryPreset preset;
+        size_t index;
+        FrameDigests want;
+    };
+    const Case cases[] = {
+        {SceneId::LivingRoom, TrajectoryPreset::SweepB, 0,
+         {0x69315a10f6aef256ULL, 0xdca94651da8e377dULL,
+          0xaa2d1a0a38258beaULL, 0}},
+        {SceneId::LivingRoom, TrajectoryPreset::SweepB, 8,
+         {0x1e3aae6fe36c3a25ULL, 0x879ffb8f0ca2f9a2ULL,
+          0x33d607d505a9190dULL, 0}},
+        {SceneId::LivingRoom, TrajectoryPreset::CloseupC, 0,
+         {0x2e446e321477041bULL, 0xa4ec307b3e861731ULL,
+          0x58fae020b4ad41aaULL, 0}},
+        {SceneId::LivingRoom, TrajectoryPreset::CloseupC, 8,
+         {0x1373b76141b13202ULL, 0xcac7c5747b9f8bf0ULL,
+          0xc5d3d65ec3ba6c70ULL, 0}},
+        {SceneId::Office, TrajectoryPreset::SweepB, 0,
+         {0x853c24e15bfa3476ULL, 0x9153ae8803652babULL,
+          0xc2fab4ee354cefb4ULL, 0}},
+        {SceneId::Office, TrajectoryPreset::SweepB, 8,
+         {0xe24473f40a746db1ULL, 0xbdf97c67d5f73d8cULL,
+          0xcc4c1dc508666b64ULL, 0}},
+        {SceneId::Office, TrajectoryPreset::CloseupC, 0,
+         {0x2209784c70a309d6ULL, 0x10713c7dfaeb2611ULL,
+          0xc6a3755beb85d8d0ULL, 0}},
+        {SceneId::Office, TrajectoryPreset::CloseupC, 8,
+         {0xa390e3df10fe99dbULL, 0xc5c0dab427747863ULL,
+          0x8230034a44c92290ULL, 0}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "scene " << static_cast<int>(c.scene) << " preset "
+                     << static_cast<int>(c.preset) << " pose " << c.index);
+        expectDigests(
+            digestServeFrame(makeScene(c.scene), c.preset, c.index),
+            c.want);
+    }
 }
 
 TEST(Renderer, NoisySequenceDigest)
@@ -696,6 +831,38 @@ TEST(RawIo, RejectsTruncatedFiles)
     std::filesystem::resize_file(path, size - 100);
     Sequence loaded;
     EXPECT_FALSE(loadSequenceRaw(path, loaded));
+    std::filesystem::remove(path);
+}
+
+TEST(RawIo, RejectsOversizedHeader)
+{
+    SequenceSpec spec;
+    spec.width = 16;
+    spec.height = 12;
+    spec.numFrames = 2;
+    spec.renderRgb = false;
+    const Sequence original = generateSequence(spec);
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "sb_test_oversized.raw")
+            .string();
+    // Header fields after the 8-byte magic: u32 width, height, frames.
+    // A loader that trusted them would try to allocate terabytes.
+    const auto patch = [&path](uint32_t w, uint32_t h, uint32_t frames) {
+        std::fstream io(path, std::ios::binary | std::ios::in |
+                                  std::ios::out);
+        io.seekp(8);
+        for (uint32_t v : {w, h, frames})
+            io.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    ASSERT_TRUE(saveSequenceRaw(original, path));
+    Sequence loaded;
+    patch(16, 12, 0xFFFFFFFFu);
+    EXPECT_FALSE(loadSequenceRaw(path, loaded));
+    patch(0xFFFFFFFFu, 0xFFFFFFFFu, 1);
+    EXPECT_FALSE(loadSequenceRaw(path, loaded));
+    // The untouched header still loads.
+    patch(16, 12, 2);
+    EXPECT_TRUE(loadSequenceRaw(path, loaded));
     std::filesystem::remove(path);
 }
 
