@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Race gate for the concurrency layer: re-run the thread-pool, metrics
 # -registry, parallel-DSE, pooled-kernel-parity, sparse-sampler
-# parity, render-reuse, sparse-volume, telemetry,
+# parity, render-reuse, free-brick elision, sparse-volume, telemetry,
 # request-trace-propagation, and dataset-renderer test groups under
 # ThreadSanitizer. Only registered by CMake when the tree
 # was configured with SLAMBENCH_SANITIZE=thread, so the binaries passed
@@ -45,8 +45,9 @@ run "$support_test" 'ThreadPool.*'
 run "$metrics_test" 'MetricsRegistry.*'
 run "$hypermapper_test" '*ParallelMatchesSerial*'
 # Pooled kernels, the sparse sampler (B = 8 and 16) against dense,
-# and the pipeline's render reuse of its raycast.
-run "$parity_test" '*Pooled*:SparseFusedVolume.*:RenderReuse.*'
+# the pipeline's render reuse of its raycast, and the dense march's
+# free-brick elision (flags set by pooled integrate workers).
+run "$parity_test" '*Pooled*:SparseFusedVolume.*:RenderReuse.*:FreeBrick.*'
 # Concurrent block allocation / streaming against the hashed pool.
 run "$sparse_test" '*Pooled*'
 # The seqlock ring, the exposition server against concurrent metric

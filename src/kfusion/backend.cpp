@@ -35,10 +35,11 @@ namespace {
  * other backend must reproduce bit-for-bit (the inner loop of
  * TsdfVolume::integrateImpl before backends existed).
  */
-void
+NearBricks
 integrateColumnScalar(const IntegrateContext &ctx, Voxel *column,
                       int z_begin, int z_end, Vec3f pos)
 {
+    NearBricks near;
     for (int z = z_begin; z < z_end; ++z, pos += ctx.step) {
         if (pos.z <= 0.001f)
             continue;
@@ -64,7 +65,10 @@ integrateColumnScalar(const IntegrateContext &ctx, Voxel *column,
         const float weight = v.weight;
         v.tsdf = (v.tsdf * weight + tsdf) / (weight + 1.0f);
         v.weight = std::min(weight + 1.0f, ctx.maxWeight);
+        if (!(v.tsdf >= kFreeTsdf))
+            near.addVoxels(z, z);
     }
+    return near;
 }
 
 /** Scalar castRays: one castRay() call per packet lane. */
@@ -75,8 +79,9 @@ castRaysScalar(const TsdfVolume &volume, const Vec3f &origin,
 {
     for (size_t l = 0; l < count; ++l) {
         hits[l] = RayHit{};
-        hits[l].found = castRay(volume, origin, dirs[l], params,
-                                hits[l].hit, hits[l].steps);
+        hits[l].found =
+            castRay(volume, origin, dirs[l], params, hits[l].hit,
+                    hits[l].steps, &hits[l].freeSteps);
     }
 }
 
@@ -112,14 +117,16 @@ reduceRangeScalar(const support::Image<TrackData> &track_data,
  * which removes the loop-carried `pos += step` dependency from the
  * projection/fusion body and lets the compiler's vectorizer work on
  * it. Semantics per voxel are the scalar statements verbatim, so the
- * result is bit-exact on any host.
+ * result is bit-exact on any host. Near voxels are found by a scan
+ * after each block, which keeps the fusion loop vectorizable.
  */
-void
+NearBricks
 integrateColumnPortable(const IntegrateContext &ctx, Voxel *column,
                         int z_begin, int z_end, Vec3f pos)
 {
     constexpr int kBlock = 64;
     float posx[kBlock], posy[kBlock], posz[kBlock];
+    NearBricks near;
     int z = z_begin;
     while (z < z_end) {
         const int n = std::min(kBlock, z_end - z);
@@ -158,8 +165,13 @@ integrateColumnPortable(const IntegrateContext &ctx, Voxel *column,
             v.tsdf = (v.tsdf * weight + tsdf) / (weight + 1.0f);
             v.weight = std::min(weight + 1.0f, ctx.maxWeight);
         }
+        for (int l = 0; l < n; ++l) {
+            if (!(column[z + l].tsdf >= kFreeTsdf))
+                near.addVoxels(z + l, z + l);
+        }
         z += n;
     }
+    return near;
 }
 
 /** The reference backend: the kernels as they have always run. */
@@ -174,11 +186,11 @@ class ScalarBackend final : public KernelBackend
         return "scalar reference kernels (baseline ISA)";
     }
 
-    void
+    NearBricks
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
                     int z_begin, int z_end, Vec3f pos) const override
     {
-        integrateColumnScalar(ctx, column, z_begin, z_end, pos);
+        return integrateColumnScalar(ctx, column, z_begin, z_end, pos);
     }
 
     Vec3f
@@ -225,15 +237,15 @@ class SimdBackend final : public KernelBackend
                      : "vectorized kernels (portable fallback)";
     }
 
-    void
+    NearBricks
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
                     int z_begin, int z_end, Vec3f pos) const override
     {
         if (avx2_)
-            detail::integrateColumnAvx2(ctx, column, z_begin, z_end,
-                                        pos);
-        else
-            integrateColumnPortable(ctx, column, z_begin, z_end, pos);
+            return detail::integrateColumnAvx2(ctx, column, z_begin,
+                                               z_end, pos);
+        return integrateColumnPortable(ctx, column, z_begin, z_end,
+                                       pos);
     }
 
     Vec3f
@@ -325,11 +337,12 @@ class MixedBackend final : public KernelBackend
         return "per-kernel dispatch (fastest of scalar/simd each)";
     }
 
-    void
+    NearBricks
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
                     int z_begin, int z_end, Vec3f pos) const override
     {
-        integrate_.integrateColumn(ctx, column, z_begin, z_end, pos);
+        return integrate_.integrateColumn(ctx, column, z_begin, z_end,
+                                          pos);
     }
 
     Vec3f

@@ -66,14 +66,6 @@ namespace slambench::kfusion {
 /** Maximum rays per KernelBackend::castRays packet. */
 inline constexpr size_t kRayPacketWidth = 8;
 
-/** Per-ray result of a castRays packet (mirrors castRay outputs). */
-struct RayHit
-{
-    math::Vec3f hit;  ///< World-space surface point when found.
-    int steps = 0;    ///< Marching steps consumed by this ray.
-    bool found = false; ///< Whether a + to - zero crossing was found.
-};
-
 /**
  * Read-only context shared by every column of one integrate call
  * (the loop invariants TsdfVolume::integrateImpl hoists).
@@ -122,10 +114,14 @@ class KernelBackend
      * @param z_end Last z index to visit (exclusive).
      * @param pos Camera-frame position of voxel @p z_begin, produced
      *            by the caller's incremental `pos += step` sweep.
+     * @return the z bricks of every voxel this call stored with
+     *         tsdf < kFreeTsdf or NaN (may over-approximate), which
+     *         the caller flags (see TsdfVolume).
      */
-    virtual void integrateColumn(const IntegrateContext &ctx,
-                                 Voxel *column, int z_begin, int z_end,
-                                 math::Vec3f pos) const = 0;
+    virtual NearBricks integrateColumn(const IntegrateContext &ctx,
+                                      Voxel *column, int z_begin,
+                                      int z_end,
+                                      math::Vec3f pos) const = 0;
 
     /**
      * Fused TSDF gradient at world point @p p; must match

@@ -23,6 +23,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "math/aabb.hpp"
@@ -41,7 +42,9 @@ namespace {
 
 /**
  * Trilinear TSDF sample of up to 8 world points (one per lane), each
- * lane replaying TsdfVolume::sampleTrilinear exactly.
+ * lane replaying TsdfVolume::sampleTrilinear exactly — including,
+ * when @p brick_flags is given, TsdfVolume::marchSample's elision of
+ * unflagged bricks.
  *
  * @param voxels Volume storage viewed as interleaved {tsdf, weight}
  *               float pairs.
@@ -51,13 +54,19 @@ namespace {
  * @param px,py,pz Sample positions, one point per lane.
  * @param active Lanes to sample (sign-bit mask); inactive lanes
  *               perform no memory access and return 1.0f/invalid.
- * @param[out] valid_out Per-lane validity (bounds && any observed).
- * @return per-lane interpolated TSDF (1.0f when invalid).
+ * @param brick_flags TsdfVolume::brickFlags(), or nullptr to fetch
+ *                    every in-bounds lane.
+ * @param bricks TsdfVolume::bricks() (ignored without flags).
+ * @param[out] valid_out Per-lane validity (bounds && any observed,
+ *                       or elided).
+ * @return per-lane interpolated TSDF (1.0f when invalid, kFreeSample
+ *         when elided).
  */
 __m256
 sampleTrilinear8(const float *voxels, int res, const Vec3f &origin,
                  float inv_vs, __m256 px, __m256 py, __m256 pz,
-                 __m256 active, __m256 &valid_out)
+                 __m256 active, const uint8_t *brick_flags, int bricks,
+                 __m256 &valid_out)
 {
     const __m256 half = _mm256_set1_ps(0.5f);
     const __m256 s = _mm256_set1_ps(inv_vs);
@@ -94,15 +103,47 @@ sampleTrilinear8(const float *voxels, int res, const Vec3f &origin,
                  _mm256_and_si256(_mm256_cmpgt_epi32(resm1, x0),
                                   _mm256_cmpgt_epi32(resm1, y0)),
                  _mm256_cmpgt_epi32(resm1, z0)));
-    const __m256 gather_mask =
+    __m256 gather_mask =
         _mm256_and_ps(_mm256_castsi256_ps(inb), active);
+
+    // Elided lanes: in bounds, base voxel's brick not flagged. The
+    // flag is the low byte of a 32-bit gather at its byte offset
+    // (brickFlags() is padded for it).
+    __m256 elided = _mm256_setzero_ps();
+    if (brick_flags && !_mm256_testz_ps(gather_mask, gather_mask)) {
+        const __m256i bv = _mm256_set1_epi32(bricks);
+        const __m256i brick = _mm256_add_epi32(
+            _mm256_mullo_epi32(
+                _mm256_add_epi32(
+                    _mm256_mullo_epi32(
+                        _mm256_srai_epi32(x0, kBrickShift), bv),
+                    _mm256_srai_epi32(y0, kBrickShift)),
+                bv),
+            _mm256_srai_epi32(z0, kBrickShift));
+        const __m256i zero_i = _mm256_setzero_si256();
+        const __m256i flag = _mm256_and_si256(
+            _mm256_mask_i32gather_epi32(
+                zero_i, reinterpret_cast<const int *>(brick_flags),
+                brick, _mm256_castps_si256(gather_mask), 1),
+            _mm256_set1_epi32(0xff));
+        elided = _mm256_and_ps(
+            gather_mask,
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(flag, zero_i)));
+        gather_mask = _mm256_andnot_ps(elided, gather_mask);
+    }
+
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 free_sample = _mm256_set1_ps(kFreeSample);
+    if (_mm256_testz_ps(gather_mask, gather_mask)) {
+        valid_out = elided;
+        return _mm256_blendv_ps(one, free_sample, elided);
+    }
 
     // Fractional offsets and the eight corner weights, exactly the
     // scalar expressions (int -> float conversion is exact here).
     const __m256 fx = _mm256_sub_ps(lx, _mm256_cvtepi32_ps(x0));
     const __m256 fy = _mm256_sub_ps(ly, _mm256_cvtepi32_ps(y0));
     const __m256 fz = _mm256_sub_ps(lz, _mm256_cvtepi32_ps(z0));
-    const __m256 one = _mm256_set1_ps(1.0f);
     const __m256 wx0 = _mm256_sub_ps(one, fx), wx1 = fx;
     const __m256 wy0 = _mm256_sub_ps(one, fy), wy1 = fy;
     const __m256 wz0 = _mm256_sub_ps(one, fz), wz1 = fz;
@@ -149,8 +190,10 @@ sampleTrilinear8(const float *voxels, int res, const Vec3f &origin,
                 wzc[c]));
     }
 
-    valid_out = _mm256_and_ps(gather_mask, observed);
-    return _mm256_blendv_ps(one, value, valid_out);
+    const __m256 fetched = _mm256_and_ps(gather_mask, observed);
+    valid_out = _mm256_or_ps(fetched, elided);
+    return _mm256_blendv_ps(_mm256_blendv_ps(one, value, fetched),
+                            free_sample, elided);
 }
 
 /** @return lane l of a float vector. */
@@ -173,10 +216,12 @@ lanei(__m256i v, int l)
 
 } // namespace
 
-void
+NearBricks
 integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
                     int z_begin, int z_end, Vec3f pos)
 {
+    NearBricks near;
+    const __m256 free_tsdf = _mm256_set1_ps(kFreeTsdf);
     const __m256 fx = _mm256_set1_ps(ctx.intrinsics.fx);
     const __m256 fy = _mm256_set1_ps(ctx.intrinsics.fy);
     const __m256 cx = _mm256_set1_ps(ctx.intrinsics.cx);
@@ -272,6 +317,15 @@ integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
         const __m256 bt = _mm256_blendv_ps(vt, nt, keep);
         const __m256 bw = _mm256_blendv_ps(vw, nw, keep);
 
+        // Stored near lanes: !(tsdf >= kFreeTsdf), NaN included.
+        const int near_lanes = _mm256_movemask_ps(_mm256_and_ps(
+            keep, _mm256_cmp_ps(nt, free_tsdf, _CMP_NGE_UQ)));
+        if (near_lanes) {
+            const auto lanes = static_cast<unsigned>(near_lanes);
+            near.addVoxels(z + std::countr_zero(lanes),
+                           z + 31 - std::countl_zero(lanes));
+        }
+
         // Re-interleave (the 64-bit permute is an involution) and
         // store; skipped lanes write back their original bytes.
         const __m256 tp = _mm256_castpd_ps(_mm256_permute4x64_pd(
@@ -309,7 +363,10 @@ integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
         const float weight = v.weight;
         v.tsdf = (v.tsdf * weight + tsdf) / (weight + 1.0f);
         v.weight = std::min(weight + 1.0f, ctx.maxWeight);
+        if (!(v.tsdf >= kFreeTsdf))
+            near.addVoxels(z, z);
     }
+    return near;
 }
 
 Vec3f
@@ -334,7 +391,7 @@ gradAvx2(const TsdfVolume &volume, const Vec3f &p)
     __m256 valid;
     const __m256 v = sampleTrilinear8(voxels, volume.resolution(),
                                       volume.origin(), inv_vs, px, py,
-                                      pz, active, valid);
+                                      pz, active, nullptr, 0, valid);
     const int ok = _mm256_movemask_ps(valid);
 
     // Per-axis early-outs in the scalar order: both samples of an
@@ -403,10 +460,13 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
     const __m256 fine = _mm256_set1_ps(params.step);
     const __m256 zero = _mm256_setzero_ps();
     const __m256 one = _mm256_set1_ps(1.0f);
-    const __m256 band = _mm256_set1_ps(0.8f);
+    const __m256 band = _mm256_set1_ps(kFineStepBand);
     const __m256 eps = _mm256_set1_ps(1e-12f);
+    const __m256 free_sample = _mm256_set1_ps(kFreeSample);
     const int res = volume.resolution();
     const Vec3f &vorigin = volume.origin();
+    const uint8_t *flags = volume.brickFlags();
+    const int bricks = volume.bricks();
 
     const auto point_at = [&](__m256 tv, __m256 &px, __m256 &py,
                               __m256 &pz) {
@@ -421,13 +481,15 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
     __m256 px, py, pz, valid;
     point_at(t, px, py, pz);
     __m256 f_t = sampleTrilinear8(voxels, res, vorigin, inv_vs, px,
-                                  py, pz, running, valid);
+                                  py, pz, running, flags, bricks,
+                                  valid);
     running = _mm256_andnot_ps(
         _mm256_and_ps(valid, _mm256_cmp_ps(f_t, zero, _CMP_LT_OQ)),
         running);
 
     __m256 stepsize = large;
     __m256i steps = _mm256_setzero_si256();
+    __m256i free_steps = _mm256_setzero_si256();
     __m256 found = zero;
     __m256 hitx = zero, hity = zero, hitz = zero;
 
@@ -442,11 +504,13 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
         // ++steps; t += stepsize (active lanes only).
         steps = _mm256_sub_epi32(steps,
                                  _mm256_castps_si256(running));
+        const __m256 t_prev = t;
         t = _mm256_blendv_ps(t, _mm256_add_ps(t, stepsize), running);
 
         point_at(t, px, py, pz);
-        const __m256 f_tt = sampleTrilinear8(
-            voxels, res, vorigin, inv_vs, px, py, pz, running, valid);
+        const __m256 f_tt =
+            sampleTrilinear8(voxels, res, vorigin, inv_vs, px, py, pz,
+                             running, flags, bricks, valid);
 
         // Unknown space: f_t = 1, back to the coarse step, continue.
         const __m256 invalid = _mm256_andnot_ps(valid, running);
@@ -459,6 +523,20 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
         const __m256 crossing = _mm256_and_ps(
             sampled, _mm256_cmp_ps(f_tt, zero, _CMP_LT_OQ));
         if (!_mm256_testz_ps(crossing, crossing)) {
+            // A crossing right after an elided sample fetches that
+            // sample now, at its own t (castRayCore's rule).
+            const __m256 refetch = _mm256_and_ps(
+                crossing, _mm256_cmp_ps(f_t, free_sample, _CMP_EQ_OQ));
+            if (!_mm256_testz_ps(refetch, refetch)) {
+                __m256 qx, qy, qz, refetch_valid;
+                point_at(t_prev, qx, qy, qz);
+                f_t = _mm256_blendv_ps(
+                    f_t,
+                    sampleTrilinear8(voxels, res, vorigin, inv_vs, qx,
+                                     qy, qz, refetch, nullptr, 0,
+                                     refetch_valid),
+                    refetch);
+            }
             const __m256 denom = _mm256_sub_ps(f_t, f_tt);
             const __m256 refine =
                 _mm256_cmp_ps(denom, eps, _CMP_GT_OQ);
@@ -479,6 +557,11 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
 
         // Near the surface: drop to the fine step.
         const __m256 marching = _mm256_andnot_ps(crossing, sampled);
+        free_steps = _mm256_sub_epi32(
+            free_steps,
+            _mm256_castps_si256(_mm256_and_ps(
+                marching,
+                _mm256_cmp_ps(f_tt, free_sample, _CMP_EQ_OQ))));
         const __m256 next_step = _mm256_blendv_ps(
             large, fine, _mm256_cmp_ps(f_tt, band, _CMP_LT_OQ));
         stepsize = _mm256_blendv_ps(stepsize, next_step, marching);
@@ -488,6 +571,7 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
     const int found_bits = _mm256_movemask_ps(found);
     for (size_t l = 0; l < count; ++l) {
         hits[l].steps = lanei(steps, static_cast<int>(l));
+        hits[l].freeSteps = lanei(free_steps, static_cast<int>(l));
         if (found_bits & (1 << l)) {
             hits[l].found = true;
             hits[l].hit = {lane(hitx, static_cast<int>(l)),
@@ -568,7 +652,7 @@ avx2CompiledIn()
     return false;
 }
 
-void
+NearBricks
 integrateColumnAvx2(const IntegrateContext &, Voxel *, int, int,
                     math::Vec3f)
 {

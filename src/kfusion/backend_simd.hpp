@@ -21,8 +21,9 @@ namespace slambench::kfusion::detail {
 bool avx2CompiledIn();
 
 /** AVX2 flavor of KernelBackend::integrateColumn (bit-exact). */
-void integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
-                         int z_begin, int z_end, math::Vec3f pos);
+NearBricks integrateColumnAvx2(const IntegrateContext &ctx,
+                               Voxel *column, int z_begin, int z_end,
+                               math::Vec3f pos);
 
 /** AVX2 flavor of KernelBackend::grad (bit-exact). */
 math::Vec3f gradAvx2(const TsdfVolume &volume, const math::Vec3f &p);

@@ -90,7 +90,7 @@ KFusion::KFusion(const KFusionConfig &config,
         config_.volumeBackend, config_.volumeResolution,
         config_.volumeSize, config_.volumeOrigin,
         config_.volumeBlockSize,
-        static_cast<size_t>(config_.volumePoolCapacity));
+        static_cast<size_t>(config_.volumePoolCapacity), pool_.get());
     volume_->setKernelBackend(backend_);
 
     pyramid_.resize(config_.levels());

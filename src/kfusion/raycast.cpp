@@ -36,16 +36,27 @@ clipToVolume(const Vec3f &vol_origin, float vol_size,
  * this exact control flow — per-step t accumulation (never jumped, so
  * refined hit parameters are bit-identical across backends), linear
  * zero-crossing refinement, coarse steps across invalid samples —
- * differing only in how a sample is fetched (@p interp).
+ * differing only in how a sample is fetched.
+ *
+ * With @p kElides, @p sample may return kFreeSample (valid) for a
+ * sample it did not fetch; such a sample takes the large step like
+ * any sample at or above kFineStepBand. Only a crossing reads the
+ * previous sample's value, so a crossing after kFreeSample re-fetches
+ * it through the exact @p interp at the previous t (the t it was
+ * sampled at, not t - stepsize, which may round differently).
+ * @p free_steps counts the kFreeSample steps. Without @p kElides (the
+ * sparse sampler) this bookkeeping compiles away.
  */
-template <typename InterpFn>
+template <bool kElides, typename SampleFn, typename InterpFn>
 bool
 castRayCore(const Vec3f &vol_origin, float vol_size,
             const Vec3f &origin, const Vec3f &dir,
             const RaycastParams &params, Vec3f &hit, int &steps,
+            int &free_steps, const SampleFn &sample,
             const InterpFn &interp)
 {
     steps = 0;
+    free_steps = 0;
     float t_near, t_far;
     if (!clipToVolume(vol_origin, vol_size, origin, dir, t_near,
                       t_far))
@@ -57,16 +68,19 @@ castRayCore(const Vec3f &vol_origin, float vol_size,
         return false;
 
     bool valid = false;
-    float f_t = interp(origin + dir * t, valid);
+    float f_t = sample(origin + dir * t, valid);
     if (valid && f_t < 0.0f)
         return false; // started inside the surface
 
     float stepsize = params.largeStep;
+    float t_prev = t;
     while (t < t_end) {
         ++steps;
+        if constexpr (kElides)
+            t_prev = t;
         t += stepsize;
         bool sample_valid = false;
-        const float f_tt = interp(origin + dir * t, sample_valid);
+        const float f_tt = sample(origin + dir * t, sample_valid);
         if (!sample_valid) {
             // Unknown space: cross at the coarse rate.
             f_t = 1.0f;
@@ -74,6 +88,8 @@ castRayCore(const Vec3f &vol_origin, float vol_size,
             continue;
         }
         if (f_tt < 0.0f) {
+            if (kElides && f_t == kFreeSample)
+                f_t = interp(origin + dir * t_prev, sample_valid);
             // Zero crossing: linear refinement between samples.
             const float denom = f_t - f_tt;
             const float t_star =
@@ -81,21 +97,25 @@ castRayCore(const Vec3f &vol_origin, float vol_size,
             hit = origin + dir * t_star;
             return true;
         }
+        if constexpr (kElides)
+            free_steps += f_tt == kFreeSample;
         // Close to the surface: drop to the fine step.
-        stepsize = f_tt < 0.8f ? params.step : params.largeStep;
+        stepsize =
+            f_tt < kFineStepBand ? params.step : params.largeStep;
         f_t = f_tt;
     }
     return false;
 }
 
 /**
- * Per-row marching-step accumulator, padded to a cache line so
- * adjacent rows written by different workers never share a line
+ * Marching-step totals of a row or an image; padded to a cache line
+ * so adjacent rows written by different workers never share a line
  * (parallelFor hands out consecutive row indices).
  */
-struct alignas(64) RowSteps
+struct alignas(64) MarchSteps
 {
-    double value = 0.0;
+    double steps = 0.0;     ///< Marching steps.
+    double freeSteps = 0.0; ///< Steps whose sample was not fetched.
 };
 
 /**
@@ -196,10 +216,10 @@ struct SparseCaster
  * when the ray missed; both callers turn it into a normal through
  * surfaceNormal().
  *
- * @return total marching steps taken across the image.
+ * @return marching steps taken across the image.
  */
 template <typename Caster, typename ShadeFn>
-double
+MarchSteps
 marchImage(const Caster &caster,
            const math::CameraIntrinsics &intrinsics,
            const math::Mat4f &camera_to_world,
@@ -209,10 +229,10 @@ marchImage(const Caster &caster,
     const size_t w = intrinsics.width;
     const size_t h = intrinsics.height;
     const Vec3f origin = camera_to_world.translationPart();
-    std::vector<RowSteps> row_steps(h);
+    std::vector<MarchSteps> row_steps(h);
 
     auto process_row = [&](size_t y) {
-        double steps_in_row = 0.0;
+        MarchSteps row;
         Vec3f dirs[kRayPacketWidth];
         RayHit hits[kRayPacketWidth];
         Vec3f grads[kRayPacketWidth];
@@ -227,11 +247,12 @@ marchImage(const Caster &caster,
             }
             caster.castRays(origin, dirs, n, params, hits, grads);
             for (size_t l = 0; l < n; ++l) {
-                steps_in_row += hits[l].steps;
+                row.steps += hits[l].steps;
+                row.freeSteps += hits[l].freeSteps;
                 shade(x0 + l, y, hits[l].found, hits[l].hit, grads[l]);
             }
         }
-        row_steps[y].value = steps_in_row;
+        row_steps[y] = row;
     };
 
     if (pool) {
@@ -241,10 +262,12 @@ marchImage(const Caster &caster,
             process_row(y);
     }
 
-    double total_steps = 0.0;
-    for (const RowSteps &s : row_steps)
-        total_steps += s.value;
-    return total_steps;
+    MarchSteps totals;
+    for (const MarchSteps &s : row_steps) {
+        totals.steps += s.steps;
+        totals.freeSteps += s.freeSteps;
+    }
+    return totals;
 }
 
 template <typename Caster>
@@ -263,7 +286,7 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
     vertex_out.resize(w, h);
     normal_out.resize(w, h);
 
-    const double total_steps = marchImage(
+    const MarchSteps totals = marchImage(
         caster, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &hit,
             const Vec3f &g) {
@@ -271,6 +294,7 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
             vertex_out(x, y) = n == Vec3f{} ? Vec3f{} : hit;
             normal_out(x, y) = n;
         });
+    const double total_steps = totals.steps;
 
     counts.addItems(KernelId::Raycast, total_steps);
     counts.addBytes(KernelId::Raycast, total_steps * 32.0);
@@ -280,8 +304,11 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
         sm::Registry::instance().counter("raycast.rays");
     static sm::Counter &steps_counter =
         sm::Registry::instance().counter("raycast.steps");
+    static sm::Counter &free_steps_counter =
+        sm::Registry::instance().counter("raycast.free_steps");
     rays_counter.add(static_cast<uint64_t>(w * h));
     steps_counter.add(static_cast<uint64_t>(total_steps));
+    free_steps_counter.add(static_cast<uint64_t>(totals.freeSteps));
     TRACE_COUNTER("raycast.steps", total_steps);
 }
 
@@ -299,26 +326,35 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
     const size_t h = intrinsics.height;
     out.resize(w, h);
 
-    const double total_steps = marchImage(
+    const MarchSteps totals = marchImage(
         caster, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &,
             const Vec3f &g) {
             out(x, y) = shadeNormal(surfaceNormal(found, g));
         });
-    chargeRender(counts, total_steps);
+    chargeRender(counts, totals.steps);
 }
 
 } // namespace
 
 bool
 castRay(const TsdfVolume &volume, const Vec3f &origin, const Vec3f &dir,
-        const RaycastParams &params, Vec3f &hit, int &steps)
+        const RaycastParams &params, Vec3f &hit, int &steps,
+        int *free_steps)
 {
-    return castRayCore(volume.origin(), volume.size(), origin, dir,
-                       params, hit, steps,
-                       [&](const Vec3f &p, bool &valid) {
-                           return volume.interp(p, valid);
-                       });
+    int free = 0;
+    const bool found = castRayCore<true>(
+        volume.origin(), volume.size(), origin, dir, params, hit,
+        steps, free,
+        [&](const Vec3f &p, bool &valid) {
+            return volume.marchSample(p, valid);
+        },
+        [&](const Vec3f &p, bool &valid) {
+            return volume.interp(p, valid);
+        });
+    if (free_steps)
+        *free_steps = free;
+    return found;
 }
 
 bool
@@ -326,12 +362,13 @@ castRay(const SparseTsdfVolume &volume, const Vec3f &origin,
         const Vec3f &dir, const RaycastParams &params, Vec3f &hit,
         int &steps, SparseTsdfVolume::LookupCache &cache)
 {
-    return castRayCore(volume.origin(), volume.size(), origin, dir,
-                       params, hit, steps,
-                       [&](const Vec3f &p, bool &valid) {
-                           return volume.interpCached(p, valid,
-                                                      cache);
-                       });
+    const auto interp = [&](const Vec3f &p, bool &valid) {
+        return volume.interpCached(p, valid, cache);
+    };
+    int free_steps = 0;
+    return castRayCore<false>(volume.origin(), volume.size(), origin,
+                              dir, params, hit, steps, free_steps,
+                              interp, interp);
 }
 
 void

@@ -18,6 +18,15 @@ namespace slambench::kfusion {
 
 class KernelBackend;
 
+/**
+ * The march drops to its fine step after a sample below this value.
+ * Samples at or above it are free space to the march, which is what
+ * lets the dense march skip unflagged bricks (kFreeTsdf, volume.hpp).
+ */
+inline constexpr float kFineStepBand = 0.8f;
+static_assert(kFreeTsdf * (1.0f - 1e-6f) > kFineStepBand,
+              "free-brick elision needs kFreeTsdf clear of the band");
+
 /** Raycast tuning (derived from the configuration). */
 struct RaycastParams
 {
@@ -29,9 +38,26 @@ struct RaycastParams
     float step = 0.01875f;
 };
 
+/** Per-ray result of a march (mirrors castRay outputs). */
+struct RayHit
+{
+    math::Vec3f hit;    ///< World-space surface point when found.
+    int steps = 0;      ///< Marching steps consumed by this ray.
+    int freeSteps = 0;  ///< Steps whose sample was not fetched.
+    bool found = false; ///< Whether a + to - zero crossing was found.
+};
+
 /**
  * Raycast the volume from a camera, producing model vertex and
  * normal maps in *world* coordinates (the tracker's reference).
+ *
+ * The dense march does not fetch samples inside bricks the volume
+ * has not flagged (TsdfVolume::marchSample): they cannot be a
+ * crossing or drop to the fine step, and the sample before a
+ * crossing is re-fetched at its own t, so step counts, hits and
+ * normals equal a march that fetches every sample. The elided
+ * samples are counted in the `raycast.free_steps` registry counter;
+ * work counts (items = steps) do not see the elision.
  *
  * @param[out] vertex_out World-space hit per pixel; zero on miss.
  * @param[out] normal_out World-space unit normal; zero on miss.
@@ -95,7 +121,8 @@ void renderNormalsKernel(support::Image<support::Rgb8> &out,
                          double steps, WorkCounts &counts);
 
 /**
- * Cast a single ray against the volume.
+ * Cast a single ray against the volume, eliding the fetches of free
+ * bricks (see raycastKernel).
  *
  * @param volume Fused TSDF volume.
  * @param origin Ray origin (world).
@@ -103,11 +130,13 @@ void renderNormalsKernel(support::Image<support::Rgb8> &out,
  * @param params Stepping parameters.
  * @param[out] hit World-space surface point when found.
  * @param[out] steps Marching steps consumed.
+ * @param[out] free_steps When non-null, the steps whose sample was
+ *                        not fetched.
  * @return true when a zero crossing (+ to -) was found.
  */
 bool castRay(const TsdfVolume &volume, const math::Vec3f &origin,
              const math::Vec3f &dir, const RaycastParams &params,
-             math::Vec3f &hit, int &steps);
+             math::Vec3f &hit, int &steps, int *free_steps = nullptr);
 
 /**
  * Sparse-volume flavors. Control flow (per-step t accumulation,
@@ -116,7 +145,8 @@ bool castRay(const TsdfVolume &volume, const math::Vec3f &origin,
  * the sparse sampler resolves its stencil through @p cache (see
  * SparseTsdfVolume::interpCached). The march takes every step the
  * dense march takes: unallocated blocks are rare along a ray, since
- * the integrator allocates the free space it fuses.
+ * the integrator allocates the free space it fuses. It fetches every
+ * sample (the sparse volume keeps no brick flags).
  */
 bool castRay(const SparseTsdfVolume &volume, const math::Vec3f &origin,
              const math::Vec3f &dir, const RaycastParams &params,

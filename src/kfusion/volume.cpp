@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "kfusion/backend.hpp"
@@ -12,22 +13,43 @@
 
 namespace slambench::kfusion {
 
-TsdfVolume::TsdfVolume(int resolution, float size_m, const Vec3f &origin)
-    : resolution_(resolution), size_(size_m), origin_(origin)
+TsdfVolume::TsdfVolume(int resolution, float size_m, const Vec3f &origin,
+                       support::ThreadPool *pool)
+    : resolution_(resolution), size_(size_m), origin_(origin),
+      bricks_(((resolution - 1) >> kBrickShift) + 1)
 {
-    if (resolution < 8)
-        support::fatal("TsdfVolume: resolution must be >= 8");
+    if (resolution < 8 || resolution > 1024)
+        support::fatal("TsdfVolume: resolution must be in [8, 1024]");
     if (!(size_m > 0.0f))
         support::fatal("TsdfVolume: size must be positive");
-    voxels_.assign(static_cast<size_t>(resolution) * resolution *
-                       resolution,
-                   Voxel{});
+    // The allocator leaves the array untouched: its pages are first
+    // written by the (possibly parallel) fill.
+    voxels_.resize(static_cast<size_t>(resolution) * resolution *
+                   resolution);
+    fillVoxels(pool);
+    brickFlags_.assign(
+        static_cast<size_t>(bricks_) * bricks_ * bricks_ + 3, 0);
 }
 
 void
-TsdfVolume::reset()
+TsdfVolume::fillVoxels(support::ThreadPool *pool)
 {
-    std::fill(voxels_.begin(), voxels_.end(), Voxel{});
+    const auto fill = [this](size_t begin, size_t end) {
+        std::fill(voxels_.begin() + static_cast<ptrdiff_t>(begin),
+                  voxels_.begin() + static_cast<ptrdiff_t>(end),
+                  Voxel{});
+    };
+    if (pool)
+        pool->parallelForChunked(0, voxels_.size(), fill);
+    else
+        fill(0, voxels_.size());
+}
+
+void
+TsdfVolume::reset(support::ThreadPool *pool)
+{
+    fillVoxels(pool);
+    std::fill(brickFlags_.begin(), brickFlags_.end(), 0);
 }
 
 bool
@@ -39,8 +61,8 @@ TsdfVolume::contains(const Vec3f &p) const
 }
 
 float
-TsdfVolume::sampleTrilinear(float px, float py, float pz,
-                            bool &valid) const
+TsdfVolume::sampleTrilinear(float px, float py, float pz, bool &valid,
+                            bool elide_free) const
 {
     const float vs = voxelSize();
     // Shift by half a voxel so samples are taken at voxel centers.
@@ -54,6 +76,14 @@ TsdfVolume::sampleTrilinear(float px, float py, float pz,
         valid = false;
         return 1.0f;
     }
+    if (elide_free &&
+        !brickFlags_[(static_cast<size_t>(x0 >> kBrickShift) * bricks_ +
+                      static_cast<size_t>(y0 >> kBrickShift)) *
+                         bricks_ +
+                     static_cast<size_t>(z0 >> kBrickShift)]) {
+        valid = true;
+        return kFreeSample;
+    }
     // One base index; the stencil's seven neighbors are fixed offsets
     // in the z-major layout (+1 in z, +res in y, +res^2 in x).
     const size_t stride_y = static_cast<size_t>(resolution_);
@@ -66,6 +96,28 @@ float
 TsdfVolume::interp(const Vec3f &p, bool &valid) const
 {
     return sampleTrilinear(p.x, p.y, p.z, valid);
+}
+
+float
+TsdfVolume::marchSample(const Vec3f &p, bool &valid) const
+{
+    return sampleTrilinear(p.x, p.y, p.z, valid, /*elide_free=*/true);
+}
+
+void
+TsdfVolume::flagColumn(int x, int y, const NearBricks &near)
+{
+    for (int w = 0; w < 2; ++w) {
+        for (uint64_t bits = near.words[w]; bits != 0;
+             bits &= bits - 1) {
+            const int bz = w * 64 + std::countr_zero(bits);
+            for (int bx = (x - (x > 0)) >> kBrickShift;
+                 bx <= x >> kBrickShift; ++bx)
+                for (int by = (y - (y > 0)) >> kBrickShift;
+                     by <= y >> kBrickShift; ++by)
+                    flagBrick(bx, by, bz);
+        }
+    }
 }
 
 Vec3f
@@ -212,7 +264,9 @@ TsdfVolume::integrateImpl(const support::Image<float> &depth,
             for (int z = 0; z < z_begin; ++z)
                 pos += step;
             Voxel *column = voxels_.data() + index(x, y, 0);
-            backend.integrateColumn(ctx, column, z_begin, z_end, pos);
+            flagColumn(x, y,
+                       backend.integrateColumn(ctx, column, z_begin,
+                                               z_end, pos));
         }
         visited_total.fetch_add(visited, std::memory_order_relaxed);
         culled_total.fetch_add(culled, std::memory_order_relaxed);

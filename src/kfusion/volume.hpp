@@ -7,7 +7,11 @@
  * fusion, the map representation of KinectFusion.
  */
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "kfusion/integrate_cull.hpp"
@@ -99,6 +103,69 @@ blendStrided(const Voxel *base, size_t stride_x, size_t stride_y,
 }
 
 /**
+ * Free-brick bound of the ray march. The march's only use of a sample
+ * at or above its fine-step band (0.8, kFineStepBand in raycast.hpp)
+ * that is not a zero crossing is to pick the large step and to
+ * remember the value as the previous sample of a later crossing. A
+ * sample whose eight stencil corners all hold tsdf >= kFreeTsdf
+ * provably reads >= 0.8: blendStencil's weights are products of
+ * 1 - f and f with f in [0, 1) (exact), so each is >= 0 and, with
+ * 1 - f rounded, the three axis sums are each >= 1 - 2^-24. Every
+ * corner term tsdf * wx * wy * wz takes three roundings and the sum
+ * seven more, each losing at most 2^-24 relative, so the blend is
+ * >= 0.81 * (1 - 2^-24)^13 > 0.81 * (1 - 1e-6) > 0.8. Such a sample
+ * need not be fetched at all (see TsdfVolume::marchSample).
+ */
+inline constexpr float kFreeTsdf = 0.81f;
+
+/**
+ * What TsdfVolume::marchSample returns for a sample it did not fetch
+ * (reported valid). It is >= 0.8 and never a crossing, so the march
+ * treats it like any free-space sample; its true value is fetched
+ * only if the next sample turns out to be a zero crossing.
+ */
+inline constexpr float kFreeSample =
+    std::numeric_limits<float>::infinity();
+
+/** Bricks of 2^kBrickShift voxels per edge carry one flag each. */
+inline constexpr int kBrickShift = 3;
+
+/**
+ * The z bricks of one voxel column that hold the base of a stencil
+ * reading a near voxel (tsdf < kFreeTsdf or NaN): brick b is bit
+ * b % 64 of words[b / 64], for up to 128 bricks (resolution 1024).
+ * KernelBackend::integrateColumn reports one per column it fuses.
+ */
+struct NearBricks
+{
+    uint64_t words[2] = {0, 0};
+
+    /** Add the stencil bases reading voxels @p z_lo..@p z_hi. */
+    void
+    addVoxels(int z_lo, int z_hi)
+    {
+        for (int b = (z_lo - (z_lo > 0)) >> kBrickShift;
+             b <= z_hi >> kBrickShift; ++b)
+            words[b >> 6] |= uint64_t{1} << (b & 63);
+    }
+};
+
+/**
+ * Allocator whose value-initialization leaves the storage untouched,
+ * so the voxel array's first touch can be a parallel fill. Any other
+ * construction falls back to std::allocator_traits' construct_at.
+ */
+template <typename T>
+struct UninitializedAllocator : std::allocator<T>
+{
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+};
+
+/**
  * Cubic, uniform TSDF volume positioned in world space.
  *
  * Values are normalized: tsdf = clamp(signed_distance / mu, -1, 1).
@@ -107,16 +174,31 @@ blendStrided(const Voxel *base, size_t stride_x, size_t stride_y,
  * Storage is z-major (z contiguous, then y, then x), so the
  * integration sweep along a (x, y) voxel column and the 2x2x2
  * interpolation stencil both touch adjacent memory.
+ *
+ * Beside the voxels the volume keeps one "near" flag per brick of
+ * 8^3 stencil base voxels (the (0, 0, 0) corner of a 2x2x2 stencil),
+ * z-major like the voxels. Invariant: a brick whose flag is clear
+ * has no stencil reading a voxel with tsdf < kFreeTsdf (or NaN).
+ * Every writer keeps it: the integrate sweeps flag the bricks of
+ * every column voxel where fusion stored such a value (the
+ * NearBricks KernelBackend::integrateColumn returns), the mutable
+ * at() flags its voxel's bricks unconditionally, and reset() clears
+ * every flag. Flags are conservative (never cleared while voxels
+ * change) and written with relaxed atomic byte stores, so
+ * concurrent integrate workers may set the same flag.
  */
 class TsdfVolume
 {
   public:
     /**
-     * @param resolution Voxels per edge (>= 8).
+     * @param resolution Voxels per edge, in [8, 1024].
      * @param size_m Edge length in meters.
      * @param origin World position of the minimum corner.
+     * @param pool Optional worker pool that first-touches the voxel
+     *             array in parallel (nullptr: the calling thread).
      */
-    TsdfVolume(int resolution, float size_m, const Vec3f &origin);
+    TsdfVolume(int resolution, float size_m, const Vec3f &origin,
+               support::ThreadPool *pool = nullptr);
 
     /** @return voxels per edge. */
     int resolution() const { return resolution_; }
@@ -127,13 +209,23 @@ class TsdfVolume
     /** @return voxel edge length, meters. */
     float voxelSize() const { return size_ / resolution_; }
 
-    /** Reset every voxel to unobserved. */
-    void reset();
+    /**
+     * Reset every voxel to unobserved and clear every brick flag.
+     *
+     * @param pool Optional worker pool for the fill.
+     */
+    void reset(support::ThreadPool *pool = nullptr);
 
-    /** Unchecked voxel access. */
+    /**
+     * Unchecked mutable voxel access; flags every brick whose
+     * stencils read the voxel, since the caller may write anything.
+     */
     Voxel &
     at(int x, int y, int z)
     {
+        NearBricks near;
+        near.addVoxels(z, z);
+        flagColumn(x, y, near);
         return voxels_[index(x, y, z)];
     }
 
@@ -177,6 +269,14 @@ class TsdfVolume
      * @return interpolated normalized TSDF (1 when invalid).
      */
     float interp(const Vec3f &p, bool &valid) const;
+
+    /**
+     * interp() for the ray march: a sample whose stencil lies in the
+     * volume and whose base voxel's brick is not flagged (see the
+     * class comment) is not fetched; it returns kFreeSample and
+     * valid = true. Every other sample is exactly interp().
+     */
+    float marchSample(const Vec3f &p, bool &valid) const;
 
     /**
      * TSDF gradient (surface normal direction) at world point @p p.
@@ -240,6 +340,17 @@ class TsdfVolume
     /** @return total voxel count (resolution^3). */
     size_t voxelCount() const { return voxels_.size(); }
 
+    /** @return bricks per edge (resolution / 8, rounded up). */
+    int bricks() const { return bricks_; }
+
+    /**
+     * Brick flags, bricks()^3 bytes z-major (index (bx * bricks() +
+     * by) * bricks() + bz), followed by 3 zero bytes so a 32-bit
+     * gather at any flag's byte offset stays inside the array. Read
+     * only while no integrate or mutable at() runs.
+     */
+    const uint8_t *brickFlags() const { return brickFlags_.data(); }
+
     /**
      * Select the kernel backend integrate() fuses with (nullptr for
      * the scalar reference). integrateDense() always runs the scalar
@@ -268,8 +379,31 @@ class TsdfVolume
      * Trilinear sample with interp()'s exact arithmetic but a single
      * base-index computation; the building block of grad().
      */
-    float sampleTrilinear(float px, float py, float pz,
-                          bool &valid) const;
+    float sampleTrilinear(float px, float py, float pz, bool &valid,
+                          bool elide_free = false) const;
+
+    /** Set brick (bx, by, bz)'s flag; safe against concurrent calls. */
+    void
+    flagBrick(int bx, int by, int bz)
+    {
+        std::atomic_ref<uint8_t> flag(
+            brickFlags_[(static_cast<size_t>(bx) * bricks_ +
+                         static_cast<size_t>(by)) *
+                            bricks_ +
+                        static_cast<size_t>(bz)]);
+        if (flag.load(std::memory_order_relaxed) == 0)
+            flag.store(1, std::memory_order_relaxed);
+    }
+
+    /**
+     * Flag the bricks of the stencils reading column (x, y)'s near
+     * voxels: @p near's z bricks, for the stencil bases {x - 1, x} x
+     * {y - 1, y}.
+     */
+    void flagColumn(int x, int y, const NearBricks &near);
+
+    /** Fill every voxel with Voxel{}, on @p pool when given. */
+    void fillVoxels(support::ThreadPool *pool);
 
     /** Shared culled/dense integration sweep (see integrate()). */
     void integrateImpl(const support::Image<float> &depth,
@@ -282,7 +416,9 @@ class TsdfVolume
     int resolution_;
     float size_;
     Vec3f origin_;
-    std::vector<Voxel> voxels_;
+    std::vector<Voxel, UninitializedAllocator<Voxel>> voxels_;
+    int bricks_;
+    std::vector<uint8_t> brickFlags_;
     const KernelBackend *backend_ = nullptr;
     LambdaTable lambda_;
 };

@@ -11,8 +11,9 @@ namespace {
 class DenseVolume final : public VolumeBackend
 {
   public:
-    DenseVolume(int resolution, float size_m, const Vec3f &origin)
-        : volume_(resolution, size_m, origin)
+    DenseVolume(int resolution, float size_m, const Vec3f &origin,
+                support::ThreadPool *pool)
+        : volume_(resolution, size_m, origin, pool), pool_(pool)
     {
     }
 
@@ -21,7 +22,7 @@ class DenseVolume final : public VolumeBackend
     float size() const override { return volume_.size(); }
     const Vec3f &origin() const override { return volume_.origin(); }
 
-    void reset() override { volume_.reset(); }
+    void reset() override { volume_.reset(pool_); }
 
     void
     setKernelBackend(const KernelBackend *backend) override
@@ -120,6 +121,7 @@ class DenseVolume final : public VolumeBackend
 
   private:
     TsdfVolume volume_;
+    support::ThreadPool *pool_;
     const KernelBackend *backend_ = nullptr;
 };
 
@@ -255,11 +257,11 @@ volumeBackendFromOrdinal(int ordinal)
 std::unique_ptr<VolumeBackend>
 makeVolumeBackend(const std::string &name, int resolution,
                   float size_m, const Vec3f &origin, int block_size,
-                  size_t pool_capacity)
+                  size_t pool_capacity, support::ThreadPool *pool)
 {
     if (name == "dense")
         return std::make_unique<DenseVolume>(resolution, size_m,
-                                             origin);
+                                             origin, pool);
     if (name == "sparse")
         return std::make_unique<SparseVolume>(
             resolution, size_m, origin, block_size, pool_capacity);

@@ -54,7 +54,10 @@ class VolumeBackend
     /** @return voxel edge length, meters. */
     float voxelSize() const { return size() / resolution(); }
 
-    /** Reset every voxel to unobserved. */
+    /**
+     * Reset every voxel to unobserved (the dense volume fills on the
+     * pool it was made with).
+     */
     virtual void reset() = 0;
 
     /**
@@ -133,11 +136,15 @@ std::string volumeBackendFromOrdinal(int ordinal);
  * @param block_size Sparse only: voxels per block edge (8 or 16).
  * @param pool_capacity Sparse only: max resident blocks (0 =
  *                      unbounded).
+ * @param pool Dense only: worker pool that first-touches the voxel
+ *             array and refills it on reset() (nullptr: the calling
+ *             thread). It must outlive the volume.
  */
 std::unique_ptr<VolumeBackend>
 makeVolumeBackend(const std::string &name, int resolution,
                   float size_m, const Vec3f &origin, int block_size,
-                  size_t pool_capacity);
+                  size_t pool_capacity,
+                  support::ThreadPool *pool = nullptr);
 
 /**
  * Free-function extraction over the interface, so call sites written

@@ -159,8 +159,9 @@ TEST(FullDse, KnowledgeExtractionOnRealEvaluations)
     EXPECT_GT(knowledge.totalCount, 0u);
     // Rules must be printable whenever both classes exist.
     if (knowledge.goodCount > 0 &&
-        knowledge.goodCount < knowledge.totalCount)
+        knowledge.goodCount < knowledge.totalCount) {
         EXPECT_FALSE(knowledge.rules.empty());
+    }
 }
 
 TEST(FleetReplay, SpeedupsSpreadAcrossDevices)

@@ -284,12 +284,12 @@ class ForwardingBackend : public KernelBackend
     {
         return "scalar forwarder (test)";
     }
-    void integrateColumn(const IntegrateContext &ctx, Voxel *column,
-                         int z_begin, int z_end,
-                         Vec3f pos) const override
+    NearBricks integrateColumn(const IntegrateContext &ctx,
+                               Voxel *column, int z_begin, int z_end,
+                               Vec3f pos) const override
     {
-        scalarKernelBackend().integrateColumn(ctx, column, z_begin,
-                                              z_end, pos);
+        return scalarKernelBackend().integrateColumn(ctx, column,
+                                                     z_begin, z_end, pos);
     }
     Vec3f grad(const TsdfVolume &volume,
                      const Vec3f &p) const override

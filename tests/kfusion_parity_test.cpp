@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dataset/generator.hpp"
@@ -491,6 +492,378 @@ TEST_F(FusedVolume, BackendRenderVolumeMatchesScalar)
             ASSERT_EQ(tested[i].g, reference[i].g);
             ASSERT_EQ(tested[i].b, reference[i].b);
         }
+    }
+}
+
+// --- free-brick elision ---
+//
+// The dense march skips the fetch of samples in bricks the volume
+// has not flagged (TsdfVolume::marchSample). The oracle is the same
+// volume rewritten voxel by voxel through the mutable at(), which
+// flags every brick, so its march fetches every sample.
+
+/**
+ * Two smooth surfaces fused from two poses with @p backend: a slope
+ * patch (its edges cut across bricks on every axis) seen head-on and
+ * a wall seen obliquely, so most bricks stay free and flagged ones
+ * sit at varied depths along the rays.
+ */
+TsdfVolume
+fuseSurfaces(const CameraIntrinsics &k, const KernelBackend *backend,
+             ThreadPool *pool = nullptr)
+{
+    TsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    volume.setBackend(backend);
+    WorkCounts counts;
+    Image<float> slope(k.width, k.height, 0.0f);
+    for (size_t y = 3; y < k.height * 2 / 3; ++y)
+        for (size_t x = k.width / 5; x < k.width - 2; ++x)
+            slope(x, y) = 0.9f + 0.5f * static_cast<float>(x) /
+                                     static_cast<float>(k.width);
+    volume.integrate(slope, k, Mat4f{}, 0.1f, 100.0f, counts, pool);
+    const Image<float> wall(k.width, k.height, 1.5f);
+    volume.integrate(wall, k,
+                     slambench::math::lookAt(Vec3f{0.3f, 0.1f, -0.2f},
+                                             Vec3f{0.0f, 0.0f, 1.3f},
+                                             Vec3f{0.0f, 1.0f, 0.0f}),
+                     0.1f, 100.0f, counts, pool);
+    return volume;
+}
+
+/** @p volume rewritten through the mutable at(): every brick flagged. */
+std::unique_ptr<TsdfVolume>
+flaggedCopy(const TsdfVolume &volume)
+{
+    auto copy = std::make_unique<TsdfVolume>(
+        volume.resolution(), volume.size(), volume.origin());
+    const int res = volume.resolution();
+    for (int x = 0; x < res; ++x)
+        for (int y = 0; y < res; ++y)
+            for (int z = 0; z < res; ++z)
+                copy->at(x, y, z) = volume.at(x, y, z);
+    return copy;
+}
+
+/** @return the number of flagged bricks of @p volume. */
+size_t
+flaggedBricks(const TsdfVolume &volume)
+{
+    const size_t bricks = static_cast<size_t>(volume.bricks());
+    size_t flagged = 0;
+    for (size_t i = 0; i < bricks * bricks * bricks; ++i)
+        flagged += volume.brickFlags()[i] != 0;
+    return flagged;
+}
+
+/** Every registered backend, the scalar reference first. */
+std::vector<const KernelBackend *>
+allBackends()
+{
+    std::vector<const KernelBackend *> backends{&scalarKernelBackend()};
+    for (const KernelBackend *backend : nonScalarBackends())
+        backends.push_back(backend);
+    return backends;
+}
+
+/** Camera poses the elision tests cast from. */
+std::vector<Mat4f>
+elisionViews()
+{
+    return {Mat4f{},
+            slambench::math::lookAt(Vec3f{1.2f, 0.8f, -0.4f},
+                                    Vec3f{-0.2f, -0.1f, 1.0f},
+                                    Vec3f{0.0f, 1.0f, 0.0f}),
+            slambench::math::lookAt(Vec3f{-0.6f, 0.3f, 0.1f},
+                                    Vec3f{0.3f, -0.2f, 1.6f},
+                                    Vec3f{0.0f, 1.0f, 0.0f})};
+}
+
+uint64_t
+freeStepsCounter()
+{
+    return slambench::support::metrics::Registry::instance()
+        .counter("raycast.free_steps")
+        .value();
+}
+
+/**
+ * Raycast and render @p fused and its flagged copy alike; require
+ * identical maps, images and step counts, and elided samples on the
+ * fused volume only.
+ */
+void
+expectElisionInvisible(const TsdfVolume &fused, const TsdfVolume &copy,
+                       const CameraIntrinsics &k, const Mat4f &view,
+                       const RaycastParams &params,
+                       const KernelBackend *backend, ThreadPool *pool)
+{
+    WorkCounts elided_counts, full_counts;
+    Image<Vec3f> vertex, normal, vertex_ref, normal_ref;
+    const uint64_t before = freeStepsCounter();
+    raycastKernel(vertex, normal, fused, k, view, params, elided_counts,
+                  pool, backend);
+    const uint64_t elided = freeStepsCounter() - before;
+    raycastKernel(vertex_ref, normal_ref, copy, k, view, params,
+                  full_counts, pool, backend);
+    EXPECT_GT(elided, 0u);
+    EXPECT_EQ(freeStepsCounter() - before, elided)
+        << "the flagged copy elided samples";
+    EXPECT_EQ(elided_counts.itemsFor(KernelId::Raycast),
+              full_counts.itemsFor(KernelId::Raycast));
+    for (size_t i = 0; i < vertex.size(); ++i) {
+        ASSERT_EQ(vertex[i].x, vertex_ref[i].x) << "pixel " << i;
+        ASSERT_EQ(vertex[i].y, vertex_ref[i].y);
+        ASSERT_EQ(vertex[i].z, vertex_ref[i].z);
+        ASSERT_EQ(normal[i].x, normal_ref[i].x);
+        ASSERT_EQ(normal[i].y, normal_ref[i].y);
+        ASSERT_EQ(normal[i].z, normal_ref[i].z);
+    }
+    Image<slambench::support::Rgb8> render, render_ref;
+    renderVolumeKernel(render, fused, k, view, params, elided_counts,
+                       pool, backend);
+    renderVolumeKernel(render_ref, copy, k, view, params, full_counts,
+                       pool, backend);
+    for (size_t i = 0; i < render.size(); ++i) {
+        ASSERT_EQ(render[i].r, render_ref[i].r) << "pixel " << i;
+        ASSERT_EQ(render[i].g, render_ref[i].g);
+        ASSERT_EQ(render[i].b, render_ref[i].b);
+    }
+    EXPECT_EQ(elided_counts.itemsFor(KernelId::RenderVolume),
+              full_counts.itemsFor(KernelId::RenderVolume));
+}
+
+TEST(FreeBrick, RaycastMatchesFullyFlaggedCopyPooled)
+{
+    const CameraIntrinsics k = CameraIntrinsics::fromFov(40, 32, 1.0f);
+    // The pipeline's large step (0.75 mu) stops short of the band, so
+    // its crossings follow fetched samples; a large step past 0.8 mu
+    // also crosses straight from an elided sample (the re-fetch).
+    std::vector<RaycastParams> param_sets(2);
+    param_sets[0].largeStep = 0.075f;
+    param_sets[1].largeStep = 0.2f;
+    for (RaycastParams &p : param_sets) {
+        p.nearPlane = 0.1f;
+        p.farPlane = 4.0f;
+        p.step = 2.0f / 64.0f;
+    }
+    ThreadPool pool(3);
+    for (const KernelBackend *fuse_backend : allBackends()) {
+        SCOPED_TRACE(std::string("integrate ") + fuse_backend->name());
+        const TsdfVolume fused = fuseSurfaces(k, fuse_backend, &pool);
+        const auto copy = flaggedCopy(fused);
+        const size_t bricks = static_cast<size_t>(fused.bricks());
+        ASSERT_EQ(flaggedBricks(*copy), bricks * bricks * bricks);
+        // The fixture only tests something when bricks stay free.
+        ASSERT_GT(flaggedBricks(fused), 0u);
+        ASSERT_LT(flaggedBricks(fused), bricks * bricks * bricks / 2);
+        for (const RaycastParams &params : param_sets)
+            for (const Mat4f &view : elisionViews())
+                for (const KernelBackend *backend : allBackends())
+                    for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
+                                          &pool}) {
+                        SCOPED_TRACE(std::string(backend->name()) +
+                                     (p ? " pooled" : " serial"));
+                        expectElisionInvisible(fused, *copy, k, view,
+                                               params, backend, p);
+                    }
+    }
+}
+
+TEST(FreeBrick, NegativeVoxelsWrittenThroughAtAreHit)
+{
+    const CameraIntrinsics k = CameraIntrinsics::fromFov(40, 32, 1.0f);
+    TsdfVolume volume = fuseSurfaces(k, nullptr);
+    RaycastParams params;
+    params.nearPlane = 0.1f;
+    params.farPlane = 4.0f;
+    params.step = volume.voxelSize();
+    const Vec3f origin{0.0f, 0.0f, 0.0f};
+    const Vec3f dir{0.0f, 0.0f, 1.0f};
+    Vec3f hit;
+    int steps = 0;
+    ASSERT_TRUE(castRay(volume, origin, dir, params, hit, steps));
+    ASSERT_GT(hit.z, 0.8f); // the slope, beyond the cube below
+
+    // A 4^3 cube of "inside" voxels around z = 0.5 m on the ray, in
+    // bricks integrate left free.
+    const int c = volume.resolution() / 2;
+    const int z0 = 15;
+    for (int x = c - 2; x < c + 2; ++x)
+        for (int y = c - 2; y < c + 2; ++y)
+            for (int z = z0; z < z0 + 4; ++z)
+                ASSERT_EQ(std::as_const(volume).brickFlags()
+                              [((x >> 3) * volume.bricks() + (y >> 3)) *
+                                   volume.bricks() +
+                               (z >> 3)],
+                          0)
+                    << "voxel (" << x << ", " << y << ", " << z
+                    << ") is not in a free brick";
+    for (int x = c - 2; x < c + 2; ++x)
+        for (int y = c - 2; y < c + 2; ++y)
+            for (int z = z0; z < z0 + 4; ++z)
+                volume.at(x, y, z) = Voxel{-1.0f, 1.0f};
+
+    const float vs = volume.voxelSize();
+    for (const KernelBackend *backend : allBackends()) {
+        SCOPED_TRACE(backend->name());
+        RayHit ray;
+        backend->castRays(volume, origin, &dir, 1, params, &ray);
+        ASSERT_TRUE(ray.found);
+        EXPECT_GT(ray.hit.z, (z0 - 1) * vs);
+        EXPECT_LT(ray.hit.z, (z0 + 1) * vs);
+        const auto copy = flaggedCopy(volume);
+        RayHit ref;
+        backend->castRays(*copy, origin, &dir, 1, params, &ref);
+        EXPECT_EQ(ray.hit.z, ref.hit.z);
+        EXPECT_EQ(ray.steps, ref.steps);
+    }
+}
+
+TEST(FreeBrick, ResetClearsFlagsPooled)
+{
+    const CameraIntrinsics k = CameraIntrinsics::fromFov(40, 32, 1.0f);
+    ThreadPool pool(3);
+    for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
+        TsdfVolume volume = fuseSurfaces(k, nullptr);
+        ASSERT_GT(flaggedBricks(volume), 0u);
+        volume.reset(p);
+        EXPECT_EQ(flaggedBricks(volume), 0u);
+        const int res = volume.resolution();
+        for (int x = 0; x < res; ++x)
+            for (int y = 0; y < res; ++y)
+                for (int z = 0; z < res; ++z) {
+                    ASSERT_EQ(volume.voxelAt(x, y, z).tsdf, 1.0f);
+                    ASSERT_EQ(volume.voxelAt(x, y, z).weight, 0.0f);
+                }
+    }
+    // A volume first touched on a pool starts unobserved, unflagged.
+    const TsdfVolume pooled(40, 2.0f, Vec3f{}, &pool);
+    EXPECT_EQ(flaggedBricks(pooled), 0u);
+    for (int x = 0; x < 40; ++x)
+        for (int y = 0; y < 40; ++y)
+            for (int z = 0; z < 40; ++z) {
+                ASSERT_EQ(pooled.voxelAt(x, y, z).tsdf, 1.0f);
+                ASSERT_EQ(pooled.voxelAt(x, y, z).weight, 0.0f);
+            }
+}
+
+TEST(FreeBrick, VoxelWriteFlagsExactlyTheBricksOfItsStencils)
+{
+    // Voxel (x, y, z) is read by the stencils based at {x - 1, x} x
+    // {y - 1, y} x {z - 1, z}: two bricks per axis on a brick's first
+    // index, one elsewhere and at the volume's lower face.
+    const int coords[] = {0, 5, 7, 8, 16, 63};
+    for (int x : coords)
+        for (int y : coords)
+            for (int z : coords) {
+                TsdfVolume volume(64, 2.0f, Vec3f{});
+                volume.at(x, y, z) = Voxel{-0.5f, 1.0f};
+                const TsdfVolume &read = volume;
+                const int bricks = read.bricks();
+                for (int bx = 0; bx < bricks; ++bx)
+                    for (int by = 0; by < bricks; ++by)
+                        for (int bz = 0; bz < bricks; ++bz) {
+                            const auto reads = [](int b, int c) {
+                                return b == c >> 3 ||
+                                       (c > 0 && b == (c - 1) >> 3);
+                            };
+                            const bool expect = reads(bx, x) &&
+                                                reads(by, y) &&
+                                                reads(bz, z);
+                            ASSERT_EQ(read.brickFlags()
+                                              [(bx * bricks + by) *
+                                                   bricks +
+                                               bz] != 0,
+                                      expect)
+                                << "voxel (" << x << ", " << y << ", "
+                                << z << "), brick (" << bx << ", "
+                                << by << ", " << bz << ")";
+                        }
+            }
+}
+
+TEST(FreeBrick, UnflaggedBricksHoldNoNearStencil)
+{
+    // The flag invariant itself, exhaustively: every stencil based in
+    // an unflagged brick reads corners >= kFreeTsdf only.
+    const CameraIntrinsics k = CameraIntrinsics::fromFov(40, 32, 1.0f);
+    for (const KernelBackend *backend : allBackends()) {
+        SCOPED_TRACE(backend->name());
+        const TsdfVolume volume = fuseSurfaces(k, backend);
+        const int res = volume.resolution();
+        const int bricks = volume.bricks();
+        int near_voxels = 0, checked = 0;
+        for (int x = 0; x + 1 < res; ++x)
+            for (int y = 0; y + 1 < res; ++y)
+                for (int z = 0; z + 1 < res; ++z) {
+                    near_voxels += !(volume.at(x, y, z).tsdf >= kFreeTsdf);
+                    if (volume.brickFlags()[((x >> 3) * bricks +
+                                             (y >> 3)) *
+                                                bricks +
+                                            (z >> 3)])
+                        continue;
+                    ++checked;
+                    for (int c = 0; c < 8; ++c)
+                        ASSERT_GE(volume
+                                      .at(x + (c & 1), y + (c >> 1 & 1),
+                                          z + (c >> 2))
+                                      .tsdf,
+                                  kFreeTsdf)
+                            << "stencil (" << x << ", " << y << ", "
+                            << z << ") corner " << c;
+                }
+        EXPECT_GT(near_voxels, 1000);
+        EXPECT_GT(checked, res * res * res / 2);
+    }
+}
+
+TEST(FreeBrick, UnflaggedStencilsReadAtLeastTheBand)
+{
+    // The elision's premise: a sample based in an unflagged brick
+    // reads >= kFineStepBand. Half the points sit on a brick's last
+    // base index on some axis, where the stencil reaches into the
+    // next brick; integrate must have flagged the brick when that
+    // next voxel is near.
+    const CameraIntrinsics k = CameraIntrinsics::fromFov(40, 32, 1.0f);
+    for (const KernelBackend *backend : allBackends()) {
+        SCOPED_TRACE(backend->name());
+        const TsdfVolume volume = fuseSurfaces(k, backend);
+        const int res = volume.resolution();
+        const float vs = volume.voxelSize();
+        Rng rng(23);
+        int checked = 0, on_last = 0;
+        for (int i = 0; i < 200000; ++i) {
+            int base[3];
+            for (int a = 0; a < 3; ++a) {
+                base[a] = static_cast<int>(rng.uniform(0.0, res - 1.0));
+                if (rng.uniform(0.0, 1.0) < 0.5)
+                    base[a] |= 7;
+                base[a] = std::min(base[a], res - 2);
+            }
+            const Vec3f p =
+                volume.origin() +
+                Vec3f{(base[0] + 0.5f + static_cast<float>(
+                                            rng.uniform(0.0, 1.0))) *
+                          vs,
+                      (base[1] + 0.5f + static_cast<float>(
+                                            rng.uniform(0.0, 1.0))) *
+                          vs,
+                      (base[2] + 0.5f + static_cast<float>(
+                                            rng.uniform(0.0, 1.0))) *
+                          vs};
+            bool valid = false;
+            const float marched = volume.marchSample(p, valid);
+            if (marched != kFreeSample)
+                continue; // flagged brick or out of bounds
+            ++checked;
+            on_last += (base[0] & 7) == 7 || (base[1] & 7) == 7 ||
+                       (base[2] & 7) == 7;
+            const float value = volume.interp(p, valid);
+            ASSERT_GE(value, kFineStepBand)
+                << "at (" << p.x << ", " << p.y << ", " << p.z << ")";
+        }
+        EXPECT_GT(checked, 50000);
+        EXPECT_GT(on_last, 20000);
     }
 }
 

@@ -673,8 +673,9 @@ TEST(PrometheusRender, HistogramCarriesTraceExemplar)
         const size_t le_pos = line.find("le=\"");
         ASSERT_NE(le_pos, std::string::npos);
         const std::string le_text = line.substr(le_pos + 4);
-        if (le_text.rfind("+Inf", 0) != 0)
+        if (le_text.rfind("+Inf", 0) != 0) {
             EXPECT_GE(std::atof(le_text.c_str()), 0.050) << line;
+        }
     }
     EXPECT_TRUE(found) << text;
 
