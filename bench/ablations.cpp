@@ -71,9 +71,6 @@ main(int argc, char **argv)
     const size_t dse_threads = dseThreadsFromArgs(argc, argv);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
     support::metrics::RunSession metrics_session =
         metricsSessionFromArgs(argc, argv, "ablations");
     // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
@@ -84,6 +81,16 @@ main(int argc, char **argv)
     // per-frame request traces with tail-based retention.
     const support::trace::RequestTraceSession request_traces =
         requestTraceFromArgs(argc, argv);
+    // Baseline for every study: a mid-cost configuration so sweeps
+    // finish quickly but the volume still matters. --backend sets
+    // the kernel backend for every variant (bit-exact, so it never
+    // changes a study's accuracy column).
+    kfusion::KFusionConfig base = defaultConfig();
+    base.volumeResolution = quick ? 64 : 128;
+    base.kernelBackend = backendFromArgs(argc, argv);
+    // --volume applies to every variant too (bit-identical fusion).
+    volumeFromArgs(argc, argv, base);
+    rejectUnknownFlags(argc, argv);
 
     std::printf("ABLATIONS: single-axis sweeps on the simulated "
                 "odroid-xu3 (%zu frames)\n",
@@ -107,16 +114,6 @@ main(int argc, char **argv)
         configs.push_back(config);
     };
     core::addConfigParams(metrics_session, defaultConfig());
-
-    // Baseline for every study: a mid-cost configuration so sweeps
-    // finish quickly but the volume still matters. --backend sets
-    // the kernel backend for every variant (bit-exact, so it never
-    // changes a study's accuracy column).
-    kfusion::KFusionConfig base = defaultConfig();
-    base.volumeResolution = quick ? 64 : 128;
-    base.kernelBackend = backendFromArgs(argc, argv);
-    // --volume applies to every variant too (bit-identical fusion).
-    volumeFromArgs(argc, argv, base);
 
     // 1. Bilateral filter.
     for (int radius : {0, 1, 2, 4}) {

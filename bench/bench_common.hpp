@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 
 #include "core/benchmark.hpp"
@@ -86,14 +87,38 @@ tunedConfig()
     return config;
 }
 
+namespace detail {
+/**
+ * Every flag the arg* helpers were asked about in this process,
+ * mapped to whether it takes a value: the inventory
+ * rejectUnknownFlags() checks argv against.
+ */
+inline std::map<std::string, bool> &
+knownFlags()
+{
+    static std::map<std::string, bool> flags;
+    return flags;
+}
+} // namespace detail
+
+/** Parse "--name value" string options; returns @p fallback if absent. */
+inline const char *
+argString(int argc, char **argv, const char *name,
+          const char *fallback)
+{
+    detail::knownFlags()[name] = true;
+    for (int i = 1; i + 1 < argc; ++i)
+        if (std::strcmp(argv[i], name) == 0)
+            return argv[i + 1];
+    return fallback;
+}
+
 /** Parse "--name value" style options; returns the default if absent. */
 inline long
 argLong(int argc, char **argv, const char *name, long fallback)
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return std::atol(argv[i + 1]);
-    return fallback;
+    const char *value = argString(argc, argv, name, nullptr);
+    return value ? std::atol(value) : fallback;
 }
 
 /** Parse a "--name N" size option; exits naming the flag if N < 1. */
@@ -111,31 +136,42 @@ argCount(int argc, char **argv, const char *name, size_t fallback)
 inline bool
 argFlag(int argc, char **argv, const char *name)
 {
+    detail::knownFlags().emplace(name, false);
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], name) == 0)
             return true;
     return false;
 }
 
-/** Parse "--name value" string options; returns @p fallback if absent. */
-inline const char *
-argString(int argc, char **argv, const char *name,
-          const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return fallback;
-}
-
 /** Parse "--name value" floating-point options. */
 inline double
 argDouble(int argc, char **argv, const char *name, double fallback)
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return std::atof(argv[i + 1]);
-    return fallback;
+    const char *value = argString(argc, argv, name, nullptr);
+    return value ? std::atof(value) : fallback;
+}
+
+/**
+ * Exit with a usage error naming the first argv token that starts
+ * with `--` but is neither a flag some arg* helper was asked about
+ * nor the value of one. Call once the binary has parsed every flag
+ * it knows, so a mistyped or retired flag fails before the run
+ * instead of being silently ignored.
+ */
+inline void
+rejectUnknownFlags(int argc, char **argv)
+{
+    const std::map<std::string, bool> &known = detail::knownFlags();
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--", 2) != 0)
+            continue;
+        const auto flag = known.find(argv[i]);
+        if (flag == known.end())
+            support::fatal(std::string(argv[0]) + ": unknown flag " +
+                           argv[i]);
+        if (flag->second)
+            ++i; // its value
+    }
 }
 
 /**
@@ -240,23 +276,6 @@ metricsSessionFromArgs(int argc, char **argv, const char *generator)
 }
 
 /**
- * Arm hardware-counter profiling from the shared `--pmu` flag
- * (docs/OBSERVABILITY.md "Hardware counters"): per-kernel cycles,
- * IPC, LLC/branch miss rates, and measured bytes/s, attributed over
- * the same spans as `--trace` and folded into the run report's `pmu`
- * block plus `pmu.*` registry gauges. Probes `perf_event_open` once,
- * logs at most one WARN when counters are missing, and degrades to a
- * schema-stable null backend. Keep the returned session alive for
- * the whole measured run; without the flag it is inert and every
- * span costs a single relaxed load.
- */
-inline support::pmu::Session
-pmuSessionFromArgs(int argc, char **argv)
-{
-    return support::pmu::Session(argFlag(argc, argv, "--pmu"));
-}
-
-/**
  * Arm end-to-end request tracing from the shared bench flags
  * (docs/OBSERVABILITY.md "Request tracing"):
  *
@@ -347,9 +366,12 @@ telemetryFromArgs(int argc, char **argv, const char *generator)
 inline void
 applyLogFlags(int argc, char **argv)
 {
-    if (argFlag(argc, argv, "--quiet"))
+    // Both are looked up so rejectUnknownFlags() knows both.
+    const bool quiet = argFlag(argc, argv, "--quiet");
+    const bool verbose = argFlag(argc, argv, "--verbose");
+    if (quiet)
         support::setLogLevel(support::LogLevel::Warn);
-    else if (argFlag(argc, argv, "--verbose"))
+    else if (verbose)
         support::setLogLevel(support::LogLevel::Debug);
 }
 

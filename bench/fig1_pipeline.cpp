@@ -31,10 +31,6 @@ main(int argc, char **argv)
     // --trace FILE: per-kernel span timeline (docs/OBSERVABILITY.md).
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (per-kernel IPC, cache-miss
-    // rates, measured bytes/s; docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
     // --metrics-json FILE / --frames-csv FILE: machine-readable run
     // report with per-frame telemetry (docs/OBSERVABILITY.md).
     support::metrics::RunSession metrics_session =
@@ -47,13 +43,6 @@ main(int argc, char **argv)
     // per-frame request traces with tail-based retention.
     const support::trace::RequestTraceSession request_traces =
         requestTraceFromArgs(argc, argv);
-
-    dataset::SequenceSpec spec = canonicalWorkload(frames);
-    spec.renderRgb = true; // the GUI shows the RGB pane
-    std::printf("FIG1: SLAMBench GUI panes, %zu frames of %s\n",
-                spec.numFrames, spec.name.c_str());
-    const dataset::Sequence sequence = generateSequence(spec);
-
     kfusion::KFusionConfig config = defaultConfig();
     // --backend {scalar,simd,auto}: kernel backend for the hot
     // kernels (bit-exact; performance only).
@@ -61,6 +50,14 @@ main(int argc, char **argv)
     // --volume {dense,sparse} (+ --block-size, --pool-capacity):
     // TSDF map data structure (bit-identical; memory/perf only).
     volumeFromArgs(argc, argv, config);
+    rejectUnknownFlags(argc, argv);
+
+    dataset::SequenceSpec spec = canonicalWorkload(frames);
+    spec.renderRgb = true; // the GUI shows the RGB pane
+    std::printf("FIG1: SLAMBench GUI panes, %zu frames of %s\n",
+                spec.numFrames, spec.name.c_str());
+    const dataset::Sequence sequence = generateSequence(spec);
+
     core::addConfigParams(metrics_session, config);
     kfusion::KFusion pipeline(config, sequence.intrinsics);
     pipeline.setPose(sequence.groundTruth.pose(0));

@@ -60,9 +60,6 @@ main(int argc, char **argv)
     const size_t frames = argCount(argc, argv, "--frames", quick ? 10 : 30);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
     support::metrics::RunSession metrics_session =
         metricsSessionFromArgs(argc, argv, "fig2_dse");
     // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
@@ -84,6 +81,14 @@ main(int argc, char **argv)
     const uint64_t seed = static_cast<uint64_t>(
         argLong(argc, argv, "--seed", 1));
     const size_t dse_threads = dseThreadsFromArgs(argc, argv);
+    // --backend/--volume select the baseline's kernel and volume
+    // backends; the DSE itself always explores the "implementation"
+    // (0 = scalar, 1 = simd, 2 = mixed) and "volume" (0 = dense,
+    // 1 = sparse) dimensions regardless of these flags.
+    kfusion::KFusionConfig default_config = defaultConfig();
+    default_config.kernelBackend = backendFromArgs(argc, argv);
+    volumeFromArgs(argc, argv, default_config);
+    rejectUnknownFlags(argc, argv);
 
     std::printf("FIG2: DSE on the simulated odroid-xu3 "
                 "(%zu frames, random=%zu, active=%zu+%zux%zu, "
@@ -100,13 +105,6 @@ main(int argc, char **argv)
         core::makeDseEvaluator(space, sequence, xu3, {}, &eval_log);
 
     // --- Baseline: the default configuration. ---
-    // --backend/--volume select the baseline's kernel and volume
-    // backends; the DSE itself always explores the "implementation"
-    // (0 = scalar, 1 = simd, 2 = mixed) and "volume" (0 = dense,
-    // 1 = sparse) dimensions regardless of these flags.
-    kfusion::KFusionConfig default_config = defaultConfig();
-    default_config.kernelBackend = backendFromArgs(argc, argv);
-    volumeFromArgs(argc, argv, default_config);
     core::addConfigParams(metrics_session, default_config);
     const hypermapper::Point default_point =
         core::configToPoint(space, default_config);

@@ -30,9 +30,6 @@ main(int argc, char **argv)
     const size_t frames = argCount(argc, argv, "--frames", 30);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
     support::metrics::RunSession metrics_session =
         metricsSessionFromArgs(argc, argv, "fig3_mobile");
     // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
@@ -47,6 +44,17 @@ main(int argc, char **argv)
         argLong(argc, argv, "--devices", 83));
     const uint64_t seed = static_cast<uint64_t>(
         argLong(argc, argv, "--seed", 2018));
+    // --backend applies to both runs: the implementation axis is
+    // orthogonal to the tuned-vs-default algorithmic comparison.
+    const std::string backend = backendFromArgs(argc, argv);
+    kfusion::KFusionConfig default_config = defaultConfig();
+    kfusion::KFusionConfig tuned_config = tunedConfig();
+    default_config.kernelBackend = backend;
+    tuned_config.kernelBackend = backend;
+    // --volume applies to both runs for the same reason.
+    volumeFromArgs(argc, argv, default_config);
+    volumeFromArgs(argc, argv, tuned_config);
+    rejectUnknownFlags(argc, argv);
 
     std::printf("FIG3: tuned-vs-default speed-up on %zu simulated "
                 "devices (%zu frames)\n",
@@ -58,16 +66,6 @@ main(int argc, char **argv)
     // One pipeline run per configuration; device models replay the
     // recorded per-frame work (this mirrors how the Android app ran
     // the same workload everywhere).
-    // --backend applies to both runs: the implementation axis is
-    // orthogonal to the tuned-vs-default algorithmic comparison.
-    const std::string backend = backendFromArgs(argc, argv);
-    kfusion::KFusionConfig default_config = defaultConfig();
-    kfusion::KFusionConfig tuned_config = tunedConfig();
-    default_config.kernelBackend = backend;
-    tuned_config.kernelBackend = backend;
-    // --volume applies to both runs for the same reason.
-    volumeFromArgs(argc, argv, default_config);
-    volumeFromArgs(argc, argv, tuned_config);
     // The report's config object records the tuned configuration
     // (the artifact Fig. 3 ships); both runs' frames are appended
     // below under their own labels.

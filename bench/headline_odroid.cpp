@@ -27,9 +27,6 @@ main(int argc, char **argv)
     const size_t dse_threads = dseThreadsFromArgs(argc, argv);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
     support::metrics::RunSession metrics_session =
         metricsSessionFromArgs(argc, argv, "headline_odroid");
     // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
@@ -40,13 +37,6 @@ main(int argc, char **argv)
     // per-frame request traces with tail-based retention.
     const support::trace::RequestTraceSession request_traces =
         requestTraceFromArgs(argc, argv);
-
-    std::printf("HEADLINE: default vs tuned on the simulated "
-                "odroid-xu3 (%zu frames)\n\n",
-                frames);
-    const dataset::Sequence sequence =
-        generateSequence(canonicalWorkload(frames));
-    const auto xu3 = devices::odroidXu3();
 
     struct Row
     {
@@ -63,6 +53,14 @@ main(int argc, char **argv)
         // --volume likewise applies to both rows.
         volumeFromArgs(argc, argv, row.config);
     }
+    rejectUnknownFlags(argc, argv);
+
+    std::printf("HEADLINE: default vs tuned on the simulated "
+                "odroid-xu3 (%zu frames)\n\n",
+                frames);
+    const dataset::Sequence sequence =
+        generateSequence(canonicalWorkload(frames));
+    const auto xu3 = devices::odroidXu3();
 
     // Both evaluations are independent full pipeline runs; run them
     // concurrently (unless --dse-threads 1) and report serially so

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "dataset/generator.hpp"
-#include "devices/fleet.hpp"
 #include "kfusion/backend.hpp"
 #include "kfusion/kernels.hpp"
 #include "kfusion/raycast.hpp"
@@ -34,7 +33,6 @@
 #include "kfusion/volume.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
-#include "support/pmu.hpp"
 #include "support/telemetry_server.hpp"
 
 namespace {
@@ -98,63 +96,12 @@ benchVolume(int res)
     return TsdfVolume(res, 4.8f, {-2.4f, -0.4f, -2.4f});
 }
 
-/**
- * Samples the PMU thread counters around a whole benchmark body and
- * exports the deltas as "pmu_<counter>" user counters, divided by
- * iterations at report time (kAvgIterations) so the report writer
- * gets per-iteration cycles/instructions/... without span machinery.
- * Inert (no counters exported) unless `--pmu` armed profiling. The
- * bench kernels run serially (nullptr pool), so the bench thread's
- * counter group observes all the work.
- */
-class BenchPmuSampler
-{
-  public:
-    explicit BenchPmuSampler(benchmark::State &state) : state_(state)
-    {
-        active_ =
-            support::pmu::Profiler::instance().readThreadSample(
-                begin_);
-    }
-
-    BenchPmuSampler(const BenchPmuSampler &) = delete;
-    BenchPmuSampler &operator=(const BenchPmuSampler &) = delete;
-
-    ~BenchPmuSampler()
-    {
-        if (!active_)
-            return;
-        support::pmu::Sample end;
-        if (!support::pmu::Profiler::instance().readThreadSample(
-                end))
-            return;
-        const support::pmu::Sample delta =
-            support::pmu::sampleDelta(end, begin_);
-        for (size_t i = 0; i < support::pmu::kNumCounters; ++i) {
-            const auto id = static_cast<support::pmu::CounterId>(i);
-            if (!delta.valid(id))
-                continue;
-            state_.counters[std::string("pmu_") +
-                            support::pmu::counterName(id)] =
-                benchmark::Counter(
-                    delta.get(id),
-                    benchmark::Counter::kAvgIterations);
-        }
-    }
-
-  private:
-    benchmark::State &state_;
-    support::pmu::Sample begin_;
-    bool active_ = false;
-};
-
 void
 BM_Mm2Meters(benchmark::State &state)
 {
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         mm2metersKernel(out, wl.sequence.frames[0].depthMm, 1,
                         nullptr);
@@ -171,7 +118,6 @@ BM_BilateralFilter(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         bilateralFilterKernel(out, wl.depth, 2, 4.0f, 0.1f, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -187,7 +133,6 @@ BM_HalfSample(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         halfSampleRobustKernel(out, wl.depth, 0.3f, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -203,7 +148,6 @@ BM_Depth2Vertex(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<math::Vec3f> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         depth2vertexKernel(out, wl.depth, wl.k, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -219,7 +163,6 @@ BM_Vertex2Normal(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<math::Vec3f> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         vertex2normalKernel(out, wl.vertex, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -235,7 +178,6 @@ BM_TrackKernel(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<TrackData> track;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         trackKernel(track, wl.vertex, wl.normal, wl.pose,
                     wl.refVertex, wl.refNormal, wl.k, wl.pose, 0.1f,
@@ -255,7 +197,6 @@ BM_ReduceKernel(benchmark::State &state, const KernelBackend *backend)
     Image<TrackData> track;
     trackKernel(track, wl.vertex, wl.normal, wl.pose, wl.refVertex,
                 wl.refNormal, wl.k, wl.pose, 0.1f, 0.8f, nullptr);
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         const ReductionResult r =
             reduceKernel(track, nullptr, backend);
@@ -280,7 +221,6 @@ BM_Integrate(benchmark::State &state, const KernelBackend *backend)
         benchVolume(static_cast<int>(state.range(0)));
     volume.setBackend(backend);
     WorkCounts counts;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
                          counts, nullptr);
@@ -300,7 +240,6 @@ BM_IntegrateDense(benchmark::State &state)
     TsdfVolume volume =
         benchVolume(static_cast<int>(state.range(0)));
     WorkCounts counts;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         volume.integrateDense(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
                               counts, nullptr);
@@ -327,7 +266,6 @@ BM_IntegrateSparse(benchmark::State &state,
                             {-2.4f, -0.4f, -2.4f}, 8, 0);
     volume.setBackend(backend);
     WorkCounts counts;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
                          counts, nullptr);
@@ -356,7 +294,6 @@ BM_Raycast(benchmark::State &state, const KernelBackend *backend)
     params.largeStep = 0.075f;
     Image<math::Vec3f> vertex, normal;
     counts = WorkCounts{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
                       counts, nullptr, backend);
@@ -389,7 +326,6 @@ BM_RaycastSparse(benchmark::State &state)
     params.largeStep = 0.075f;
     Image<math::Vec3f> vertex, normal;
     counts = WorkCounts{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
                       counts, nullptr);
@@ -439,7 +375,6 @@ BM_Grad(benchmark::State &state, const KernelBackend *backend)
     const std::vector<math::Vec3f> points =
         gradientPoints(volume, wl);
     math::Vec3f acc{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         for (const math::Vec3f &p : points)
             acc += backend->grad(volume, p);
@@ -463,7 +398,6 @@ BM_GradReference(benchmark::State &state)
     const std::vector<math::Vec3f> points =
         gradientPoints(volume, wl);
     math::Vec3f acc{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         for (const math::Vec3f &p : points)
             acc += volume.gradReference(p);
@@ -495,10 +429,6 @@ struct KernelResult
      *  exported by the sparse benches only. */
     bool hasVolumeBytes = false;
     double volumeBytes = 0.0;
-    /** Per-iteration hardware-counter sample ("pmu_*" counters),
-     *  all-invalid when --pmu is off or the backend delivered
-     *  nothing. */
-    support::pmu::Sample pmu;
 };
 
 /**
@@ -566,19 +496,6 @@ class CapturingReporter : public benchmark::ConsoleReporter
                 r.volumeBytes =
                     static_cast<double>(volume_bytes->second);
             }
-            // "pmu_<counter>" user counters exported by
-            // BenchPmuSampler (per-iteration, kAvgIterations).
-            for (size_t i = 0; i < support::pmu::kNumCounters;
-                 ++i) {
-                const auto id =
-                    static_cast<support::pmu::CounterId>(i);
-                const auto counter = run.counters.find(
-                    std::string("pmu_") +
-                    support::pmu::counterName(id));
-                if (counter != run.counters.end())
-                    r.pmu.set(id, static_cast<double>(
-                                      counter->second));
-            }
             results.push_back(std::move(r));
         }
         ConsoleReporter::ReportRuns(reports);
@@ -613,78 +530,13 @@ jsonNumber(double value)
 }
 
 /**
- * Append one row's optional "pmu" JSON block: the per-iteration raw
- * counters that are valid, the derived metrics, and — in roofline
- * mode, for rows with known memory traffic — the device-model
- * bandwidth term and the measured fraction of it. Emitted for every
- * row whenever --pmu armed profiling (possibly with no counters on
- * the null backend), so row shape is stable per run.
- */
-void
-writePmuBlock(std::ostream &os, const KernelResult &r,
-              double roofline_bandwidth)
-{
-    os << ", \"pmu\": {";
-    bool first = true;
-    for (size_t i = 0; i < support::pmu::kNumCounters; ++i) {
-        const auto id = static_cast<support::pmu::CounterId>(i);
-        if (!r.pmu.valid(id))
-            continue;
-        os << (first ? "" : ", ") << "\""
-           << support::pmu::counterName(id)
-           << "\": " << jsonNumber(r.pmu.get(id));
-        first = false;
-    }
-    // Known memory traffic per iteration, back-computed from the
-    // bytes_per_second google-benchmark derived from
-    // SetBytesProcessed; feeds the measured-bytes/s derivation
-    // (bytes / task-clock) and the roofline check.
-    const double bytes_per_iter =
-        r.hasBytes && r.bytesPerSecond > 0.0
-            ? r.bytesPerSecond * r.realNsPerIter * 1e-9
-            : 0.0;
-    const support::pmu::DerivedMetrics derived =
-        support::pmu::deriveMetrics(r.pmu, bytes_per_iter);
-    if (derived.hasIpc)
-        os << (first ? "" : ", ")
-           << "\"ipc\": " << jsonNumber(derived.ipc), first = false;
-    if (derived.hasLlcMissRate)
-        os << (first ? "" : ", ") << "\"llc_miss_rate\": "
-           << jsonNumber(derived.llcMissRate),
-            first = false;
-    if (derived.hasBranchMissRate)
-        os << (first ? "" : ", ") << "\"branch_miss_rate\": "
-           << jsonNumber(derived.branchMissRate),
-            first = false;
-    if (derived.hasTaskClock)
-        os << (first ? "" : ", ") << "\"task_clock_seconds\": "
-           << jsonNumber(derived.taskClockSeconds),
-            first = false;
-    if (derived.hasBytesPerSecond) {
-        os << (first ? "" : ", ") << "\"bytes_per_second\": "
-           << jsonNumber(derived.bytesPerSecond);
-        first = false;
-        if (roofline_bandwidth > 0.0) {
-            os << ", \"roofline_bytes_per_second\": "
-               << jsonNumber(roofline_bandwidth);
-            os << ", \"roofline_fraction\": "
-               << jsonNumber(derived.bytesPerSecond /
-                             roofline_bandwidth);
-        }
-    }
-    os << "}";
-}
-
-/**
  * Write the versioned kernel-bench report consumed by
  * scripts/bench_compare.py and validated by
- * scripts/check_kernel_bench_schema.py. @p roofline_bandwidth > 0
- * adds roofline fields to pmu blocks with measured bytes/s.
+ * scripts/check_kernel_bench_schema.py.
  */
 bool
 writeKernelReport(const std::string &path,
-                  const std::vector<KernelResult> &results,
-                  double roofline_bandwidth)
+                  const std::vector<KernelResult> &results)
 {
     std::ofstream os(path);
     if (!os) {
@@ -729,8 +581,6 @@ writeKernelReport(const std::string &path,
         if (r.hasVolumeBytes)
             os << ", \"volume_bytes\": "
                << jsonNumber(r.volumeBytes);
-        if (support::pmu::profilingActive())
-            writePmuBlock(os, r, roofline_bandwidth);
         os << "}";
     }
     os << (results.empty() ? "],\n" : "\n  ],\n");
@@ -800,9 +650,8 @@ BENCHMARK(BM_GradReference)->Arg(128)->Arg(256);
 /**
  * Custom main: google-benchmark 1.x aborts on flags it does not
  * know, so the shared `--metrics-json FILE`, `--telemetry-port N`,
- * `--crash-dump FILE`, `--backend NAME`, `--pmu`, and `--roofline`
- * flags are stripped before benchmark::Initialize sees the argument
- * vector.
+ * `--crash-dump FILE` and `--backend NAME` flags are stripped before
+ * benchmark::Initialize sees the argument vector.
  */
 int
 main(int argc, char **argv)
@@ -810,8 +659,6 @@ main(int argc, char **argv)
     std::vector<char *> bench_argv(argv, argv + argc);
     std::string metrics_path;
     std::string backend_flag;
-    bool pmu_flag = false;
-    bool roofline_flag = false;
     slambench::support::telemetry::TelemetryOptions telemetry_opts;
     telemetry_opts.generator = "kernels";
     for (auto it = bench_argv.begin() + 1; it != bench_argv.end();) {
@@ -823,15 +670,6 @@ main(int argc, char **argv)
                    it + 1 != bench_argv.end()) {
             backend_flag = *(it + 1);
             it = bench_argv.erase(it, it + 2);
-        } else if (std::strcmp(*it, "--pmu") == 0) {
-            pmu_flag = true;
-            it = bench_argv.erase(it);
-        } else if (std::strcmp(*it, "--roofline") == 0) {
-            // Roofline validation needs the measured bytes/s, so
-            // --roofline implies --pmu.
-            roofline_flag = true;
-            pmu_flag = true;
-            it = bench_argv.erase(it);
         } else if (std::strcmp(*it, "--telemetry-port") == 0 &&
                    it + 1 != bench_argv.end()) {
             telemetry_opts.port = std::atoi(*(it + 1));
@@ -846,7 +684,6 @@ main(int argc, char **argv)
     }
     const slambench::support::telemetry::TelemetryEndpoint telemetry(
         telemetry_opts);
-    const slambench::support::pmu::Session pmu_session(pmu_flag);
 
     // --backend NAME restricts the hot-kernel benches to one backend
     // ("auto" resolves via CPUID); by default every registered
@@ -877,49 +714,8 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    // Roofline validation: compare each row's measured bytes/s (from
-    // the PMU task clock and the kernel's known memory traffic)
-    // against the device model's bandwidth term, so the calibrated
-    // constants in src/devices/ are checked against machine-measured
-    // behaviour instead of trusted.
-    const double roofline_bandwidth =
-        roofline_flag
-            ? slambench::devices::odroidXu3().memoryBandwidth
-            : 0.0;
-    if (roofline_flag) {
-        std::printf("\nROOFLINE: measured bytes/s vs device model "
-                    "(odroid-xu3, %.2f GB/s)\n",
-                    roofline_bandwidth / 1e9);
-        std::printf("%-32s %-8s %12s %10s\n", "kernel", "backend",
-                    "meas GB/s", "of roof");
-        bool any = false;
-        for (const KernelResult &r : reporter.results) {
-            const double bytes_per_iter =
-                r.hasBytes && r.bytesPerSecond > 0.0
-                    ? r.bytesPerSecond * r.realNsPerIter * 1e-9
-                    : 0.0;
-            const slambench::support::pmu::DerivedMetrics derived =
-                slambench::support::pmu::deriveMetrics(
-                    r.pmu, bytes_per_iter);
-            if (!derived.hasBytesPerSecond)
-                continue;
-            any = true;
-            std::printf("%-32s %-8s %12.2f %9.1f%%\n",
-                        r.name.c_str(),
-                        r.backend.empty() ? "-" : r.backend.c_str(),
-                        derived.bytesPerSecond / 1e9,
-                        100.0 * derived.bytesPerSecond /
-                            roofline_bandwidth);
-        }
-        if (!any)
-            std::printf("(no rows with measured bytes/s — the PMU "
-                        "task clock is unavailable on this host or "
-                        "no bench reports bytes)\n");
-    }
-
     if (!metrics_path.empty()) {
-        if (!writeKernelReport(metrics_path, reporter.results,
-                               roofline_bandwidth))
+        if (!writeKernelReport(metrics_path, reporter.results))
             return 1;
         slambench::support::logInfo()
             << "kernel bench report -> " << metrics_path;

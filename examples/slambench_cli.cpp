@@ -81,12 +81,6 @@ usage()
         "  --align                  also report rigidly aligned ATE\n"
         "  --trace FILE             chrome://tracing span timeline "
         "(JSON)\n"
-        "  --pmu                    hardware-counter profiling: "
-        "per-kernel IPC,\n"
-        "                           cache/branch miss rates, bytes/s "
-        "(perf_event_open;\n"
-        "                           degrades to a null backend with "
-        "one WARN)\n"
         "  --metrics-json FILE      machine-readable run report "
         "(JSON)\n"
         "  --frames-csv FILE        per-frame telemetry table (CSV)\n"
@@ -138,13 +132,11 @@ main(int argc, char **argv)
     }
 
     // The observability flags shared with the figure benches
-    // (docs/OBSERVABILITY.md): span timeline, hardware counters, run
-    // report, live telemetry, and request traces.
+    // (docs/OBSERVABILITY.md): span timeline, run report, live
+    // telemetry, and request traces.
     applyLogFlags(argc, argv);
     const support::trace::Session trace_session =
         traceSessionFromArgs(argc, argv);
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
     support::metrics::RunSession metrics_session =
         metricsSessionFromArgs(argc, argv, "slambench_cli");
     const support::telemetry::TelemetryEndpoint telemetry =
@@ -170,15 +162,6 @@ main(int argc, char **argv)
     spec.sensorNoise = !argFlag(argc, argv, "--no-noise");
     spec.seed = static_cast<uint64_t>(argLong(argc, argv, "--seed", 42));
     spec.renderRgb = false;
-
-    std::printf("generating %zu frames (%zux%zu, %s, trajectory "
-                "%s)...\n",
-                spec.numFrames, spec.width, spec.height,
-                spec.scene == dataset::SceneId::Office
-                    ? "office"
-                    : "living-room",
-                trajectory ? trajectory : "a");
-    const dataset::Sequence sequence = generateSequence(spec);
 
     // --- Configuration ---
     kfusion::KFusionConfig config;
@@ -224,12 +207,30 @@ main(int argc, char **argv)
     // Shared with the DSE benches: worker-thread count (0 = hardware
     // concurrency). Here it sizes the Threaded kernels' pool.
     const size_t num_threads = dseThreadsFromArgs(argc, argv);
+    const std::string system_name =
+        argString(argc, argv, "--system", "kfusion");
+    core::BenchmarkOptions options;
+    options.alignedAte = argFlag(argc, argv, "--align");
+    const char *trajectory_path =
+        argString(argc, argv, "--dump-trajectory", nullptr);
+    const char *groundtruth_path =
+        argString(argc, argv, "--dump-groundtruth", nullptr);
+    const char *mesh_path =
+        argString(argc, argv, "--dump-mesh", nullptr);
+    rejectUnknownFlags(argc, argv);
+
+    std::printf("generating %zu frames (%zux%zu, %s, trajectory "
+                "%s)...\n",
+                spec.numFrames, spec.width, spec.height,
+                spec.scene == dataset::SceneId::Office
+                    ? "office"
+                    : "living-room",
+                trajectory ? trajectory : "a");
+    const dataset::Sequence sequence = generateSequence(spec);
 
     // --- System ---
     std::unique_ptr<core::SlamSystem> system;
     core::KFusionSystem *kfusion_system = nullptr;
-    const std::string system_name =
-        argString(argc, argv, "--system", "kfusion");
     if (system_name == "kfusion") {
         auto kf = std::make_unique<core::KFusionSystem>(config, impl,
                                                         num_threads);
@@ -248,8 +249,6 @@ main(int argc, char **argv)
     std::printf("running %s (%s)...\n", system->name().c_str(),
                 config.toString().c_str());
     core::addConfigParams(metrics_session, config);
-    core::BenchmarkOptions options;
-    options.alignedAte = argFlag(argc, argv, "--align");
     const core::BenchmarkResult result =
         core::runBenchmark(*system, sequence, options);
 
@@ -269,34 +268,31 @@ main(int argc, char **argv)
     metrics_session.setSummary("sim_watts_paced", sim.pacedWatts);
 
     // --- Optional artifacts ---
-    if (const char *path =
-            argString(argc, argv, "--dump-trajectory", nullptr)) {
+    if (trajectory_path) {
         dataset::Trajectory estimated;
         for (size_t i = 0; i < result.estimatedPoses.size(); ++i)
             estimated.append(result.estimatedPoses[i],
                              sequence.groundTruth.timestamp(i));
-        if (estimated.saveTum(path))
-            std::printf("wrote %s\n", path);
+        if (estimated.saveTum(trajectory_path))
+            std::printf("wrote %s\n", trajectory_path);
     }
-    if (const char *path =
-            argString(argc, argv, "--dump-groundtruth", nullptr)) {
-        if (sequence.groundTruth.saveTum(path))
-            std::printf("wrote %s\n", path);
-    }
-    if (const char *path =
-            argString(argc, argv, "--dump-mesh", nullptr)) {
+    if (groundtruth_path &&
+        sequence.groundTruth.saveTum(groundtruth_path))
+        std::printf("wrote %s\n", groundtruth_path);
+    if (mesh_path) {
         if (!kfusion_system) {
             std::printf("--dump-mesh requires --system kfusion\n");
         } else {
             const kfusion::TriangleMesh mesh = kfusion::extractMesh(
                 kfusion_system->pipeline().volume());
-            if (mesh.saveObj(path)) {
+            if (mesh.saveObj(mesh_path)) {
                 const auto recon =
                     metrics::computeReconstructionError(
                         mesh, dataset::makeScene(spec.scene), 5);
                 std::printf("wrote %s (%zu triangles, surface RMSE "
                             "%.4f m)\n",
-                            path, mesh.triangleCount(), recon.rmse);
+                            mesh_path, mesh.triangleCount(),
+                            recon.rmse);
             }
         }
     }

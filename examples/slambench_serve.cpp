@@ -195,6 +195,34 @@ main(int argc, char **argv)
     const uint64_t base_seed =
         static_cast<uint64_t>(argLong(argc, argv, "--seed", 42));
 
+    serve::SchedulerOptions scheduler_options;
+    scheduler_options.threads = static_cast<size_t>(
+        std::max(0L, argLong(argc, argv, "--serve-threads", 0)));
+    scheduler_options.admission.queueHiWatermark =
+        static_cast<size_t>(
+            std::max(1L, argLong(argc, argv, "--serve-queue-hi",
+                                  64)));
+    scheduler_options.admission.queueLoWatermark =
+        static_cast<size_t>(
+            std::max(0L, argLong(argc, argv, "--serve-queue-lo",
+                                  4)));
+    scheduler_options.admission.frameP99TargetSeconds =
+        argDouble(argc, argv, "--serve-p99-ms", 0.0) * 1e-3;
+    scheduler_options.admission.clearAfterHealthyTicks =
+        static_cast<int>(
+            std::max(1L, argLong(argc, argv, "--serve-clear-ticks",
+                                  3)));
+    scheduler_options.admission.maxTenantVolumeBytes =
+        static_cast<uint64_t>(
+            std::max(0.0, argDouble(argc, argv,
+                                     "--serve-max-tenant-mb", 0.0)) *
+            (1 << 20));
+    scheduler_options.stallAtTick = static_cast<uint64_t>(
+        std::max(0L, argLong(argc, argv, "--serve-stall-tick", 0)));
+    scheduler_options.stallMs =
+        argDouble(argc, argv, "--serve-stall-ms", 0.0);
+    rejectUnknownFlags(argc, argv);
+
     std::printf("standing up %zu tenant sessions (%zux%zu, %zu "
                 "frames/stream, vr=%d, csr=%d)...\n",
                 tenants, base_spec.width, base_spec.height,
@@ -227,33 +255,6 @@ main(int argc, char **argv)
         metrics_session.setParam("tenant." + tenant.id + ".device",
                                  tenant.device.name);
     }
-
-    serve::SchedulerOptions scheduler_options;
-    scheduler_options.threads = static_cast<size_t>(
-        std::max(0L, argLong(argc, argv, "--serve-threads", 0)));
-    scheduler_options.admission.queueHiWatermark =
-        static_cast<size_t>(
-            std::max(1L, argLong(argc, argv, "--serve-queue-hi",
-                                  64)));
-    scheduler_options.admission.queueLoWatermark =
-        static_cast<size_t>(
-            std::max(0L, argLong(argc, argv, "--serve-queue-lo",
-                                  4)));
-    scheduler_options.admission.frameP99TargetSeconds =
-        argDouble(argc, argv, "--serve-p99-ms", 0.0) * 1e-3;
-    scheduler_options.admission.clearAfterHealthyTicks =
-        static_cast<int>(
-            std::max(1L, argLong(argc, argv, "--serve-clear-ticks",
-                                  3)));
-    scheduler_options.admission.maxTenantVolumeBytes =
-        static_cast<uint64_t>(
-            std::max(0.0, argDouble(argc, argv,
-                                     "--serve-max-tenant-mb", 0.0)) *
-            (1 << 20));
-    scheduler_options.stallAtTick = static_cast<uint64_t>(
-        std::max(0L, argLong(argc, argv, "--serve-stall-tick", 0)));
-    scheduler_options.stallMs =
-        argDouble(argc, argv, "--serve-stall-ms", 0.0);
 
     serve::StreamScheduler scheduler(std::move(sessions),
                                      scheduler_options);

@@ -3,13 +3,12 @@
 
 Usage:
     bench_compare.py BASELINE.json CANDIDATE.json
+        [BASELINE.json CANDIDATE.json ...]
         [--max-frame-time-regress FRAC]   (default 0.10)
         [--max-ate-regress FRAC]          (default 0.10)
         [--max-rss-regress FRAC]          (default 0.20)
         [--max-kernel-regress FRAC]       (default 0.25)
         [--telemetry-overhead-pct [PCT]]  (off; bare flag = 1.0)
-        [--max-ipc-regress FRAC]          (off)
-        [--max-miss-rate-regress FRAC]    (off)
         [--max-serve-p99-regress FRAC]    (off)
         [--max-volume-bytes-regress FRAC] (off)
 
@@ -37,13 +36,10 @@ assert that running with --telemetry-port does not slow the frame
 loop down (p50 is the stable center of the distribution, so it
 isolates per-frame overhead from tail noise).
 
---max-ipc-regress and --max-miss-rate-regress arm PMU gates for
-kernel-bench reports, reading the per-row `pmu` blocks emitted by
-`bench_kernels --pmu`: IPC regresses when it DROPS by more than FRAC
-relative to the baseline (lower IPC = worse), and the LLC/branch miss
-rates regress when they RISE by more than FRAC. Rows where either
-side lacks the counters (null backend, degraded probe) are skipped —
-the gates never fail on hosts without hardware counters.
+Further BASELINE CANDIDATE pairs of run reports, run alternately with
+the first, make every run-report gate decide on the median of the
+per-pair relative changes, so one pair that met a burst of machine
+load cannot trip it.
 
 --max-volume-bytes-regress arms a memory gate for kernel-bench
 reports: rows carrying a "volume_bytes" field (the sparse TSDF
@@ -71,6 +67,7 @@ Exit status: 0 = no regressions, 1 = at least one regression,
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -142,53 +139,6 @@ def kernel_label(key):
     return "%s@%s" % (name, backend) if backend else name
 
 
-def pmu_metric(entry, key):
-    pmu = entry.get("pmu")
-    if not isinstance(pmu, dict):
-        return None
-    return kernel_metric(pmu, key)
-
-
-def compare_pmu(name, base_entry, cand_entry, args):
-    """PMU gates for one kernel row. @return regression count.
-
-    Skips silently when either side lacks the metric: a report from
-    a degraded host (null backend, software-only counter set) must
-    never fail against a baseline recorded with full counters."""
-    regressions = 0
-    if args.max_ipc_regress is not None:
-        base = pmu_metric(base_entry, "ipc")
-        cand = pmu_metric(cand_entry, "ipc")
-        if base is not None and cand is not None and base > 0.0:
-            # IPC is a goodness metric: gate on the relative DROP.
-            delta = (base - cand) / base
-            regressed = delta > args.max_ipc_regress
-            if regressed:
-                regressions += 1
-            print("  %-24s IPC baseline %.3f -> candidate %.3f "
-                  "(%+.1f%%, limit -%.0f%%)%s"
-                  % (name, base, cand, (cand - base) / base * 100.0,
-                     args.max_ipc_regress * 100.0,
-                     "  REGRESSION" if regressed else ""))
-    if args.max_miss_rate_regress is not None:
-        for key, label in (("llc_miss_rate", "LLC miss"),
-                           ("branch_miss_rate", "branch miss")):
-            base = pmu_metric(base_entry, key)
-            cand = pmu_metric(cand_entry, key)
-            if base is None or cand is None or base <= 0.0:
-                continue
-            delta = (cand - base) / base
-            regressed = delta > args.max_miss_rate_regress
-            if regressed:
-                regressions += 1
-            print("  %-24s %s baseline %.4f -> candidate %.4f "
-                  "(%+.1f%%, limit +%.0f%%)%s"
-                  % (name, label, base, cand, delta * 100.0,
-                     args.max_miss_rate_regress * 100.0,
-                     "  REGRESSION" if regressed else ""))
-    return regressions
-
-
 def compare_kernels(args, baseline, candidate):
     """Per-kernel gate for slambench-kernel-bench reports."""
     base_kernels = kernels_by_name(baseline, args.baseline)
@@ -203,8 +153,6 @@ def compare_kernels(args, baseline, candidate):
             continue
         base_entry = base_kernels[key]
         cand_entry = cand_kernels[key]
-        regressions += compare_pmu(name, base_entry, cand_entry,
-                                   args)
         if args.max_volume_bytes_regress is not None:
             base_vb = kernel_metric(base_entry, "volume_bytes")
             cand_vb = kernel_metric(cand_entry, "volume_bytes")
@@ -258,11 +206,49 @@ def compare_kernels(args, baseline, candidate):
     return 0
 
 
+def gate_regressed(pairs, section, key, threshold, label, decimals):
+    """Gate one run-report metric on its relative change over the
+    (baseline, candidate) report pairs: the change itself for one
+    pair, the median per-pair change for several. @return 1 when it
+    regressed beyond @p threshold, else 0."""
+    deltas = []
+    for base_report, cand_report in pairs:
+        base = metric(base_report, section, key)
+        cand = metric(cand_report, section, key)
+        if base is None or cand is None:
+            print("  %-16s missing in %s -- skipped"
+                  % (label, "baseline" if base is None
+                     else "candidate"))
+            return 0
+        if base <= 0.0:
+            print("  %-16s baseline %.6g, candidate %.6g "
+                  "(zero baseline, informational)"
+                  % (label, base, cand))
+            return 0
+        deltas.append((cand - base) / base)
+        if len(pairs) > 1:
+            print("  %-16s baseline %.6g -> candidate %.6g (%+.*f%%)"
+                  % (label, base, cand, decimals, deltas[-1] * 100.0))
+    delta = statistics.median(deltas)
+    regressed = delta > threshold
+    what = ("baseline %.6g -> candidate %.6g" % (base, cand)
+            if len(pairs) == 1
+            else "median of %d pairs" % len(pairs))
+    print("  %-16s %s (%+.*f%%, limit +%g%%)%s"
+          % (label, what, decimals, delta * 100.0, threshold * 100.0,
+             "  REGRESSION" if regressed else ""))
+    return int(regressed)
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Compare two slambench run reports")
     parser.add_argument("baseline")
     parser.add_argument("candidate")
+    parser.add_argument("more_pairs", nargs="*",
+                        metavar="BASELINE CANDIDATE",
+                        help="further alternated run-report pairs; "
+                        "gates then use the median per-pair change")
     parser.add_argument("--max-frame-time-regress", type=float,
                         default=0.10, dest="max_frame_time_regress",
                         help="allowed relative frame-time increase")
@@ -283,17 +269,6 @@ def main():
                         help="also gate frame_wall_seconds_p50 "
                         "within PCT percent of the baseline "
                         "(bare flag = 1.0)")
-    parser.add_argument("--max-ipc-regress", type=float,
-                        default=None, dest="max_ipc_regress",
-                        metavar="FRAC",
-                        help="allowed relative per-kernel IPC drop "
-                        "(kernel-bench reports with pmu blocks)")
-    parser.add_argument("--max-miss-rate-regress", type=float,
-                        default=None, dest="max_miss_rate_regress",
-                        metavar="FRAC",
-                        help="allowed relative LLC/branch miss-rate "
-                        "increase (kernel-bench reports with pmu "
-                        "blocks)")
     parser.add_argument("--max-volume-bytes-regress", type=float,
                         default=None,
                         dest="max_volume_bytes_regress",
@@ -309,6 +284,9 @@ def main():
                         "(slambench_serve reports; skipped when "
                         "either side lacks the key)")
     args = parser.parse_args()
+    if len(args.more_pairs) % 2:
+        parser.error("extra reports must come in BASELINE CANDIDATE "
+                     "pairs")
 
     baseline = load_report(args.baseline)
     candidate = load_report(args.candidate)
@@ -336,80 +314,23 @@ def main():
              candidate.get("run", {}).get("frames", "?")))
     print()
 
-    regressions = 0
-    for section, key, option, label in GATES:
-        base = metric(baseline, section, key)
-        cand = metric(candidate, section, key)
-        threshold = getattr(args, option)
-        if base is None or cand is None:
-            print("  %-16s missing in %s -- skipped"
-                  % (label, "baseline" if base is None
-                     else "candidate"))
-            continue
-        if base <= 0.0:
-            print("  %-16s baseline %.6g, candidate %.6g "
-                  "(zero baseline, informational)"
-                  % (label, base, cand))
-            continue
-        delta = (cand - base) / base
-        regressed = delta > threshold
-        if regressed:
-            regressions += 1
-        print("  %-16s baseline %.6g -> candidate %.6g "
-              "(%+.1f%%, limit +%.0f%%)%s"
-              % (label, base, cand, delta * 100.0,
-                 threshold * 100.0,
-                 "  REGRESSION" if regressed else ""))
-
+    pairs = [(baseline, candidate)] + [
+        (load_report(base_path), load_report(cand_path))
+        for base_path, cand_path in zip(args.more_pairs[0::2],
+                                        args.more_pairs[1::2])]
+    gates = [(section, key, getattr(args, option), label, 1)
+             for section, key, option, label in GATES]
     if args.telemetry_overhead_pct is not None:
-        label = "p50 frame time (telemetry overhead)"
-        base = metric(baseline, "summary", "frame_wall_seconds_p50")
-        cand = metric(candidate, "summary", "frame_wall_seconds_p50")
-        threshold = args.telemetry_overhead_pct / 100.0
-        if base is None or cand is None:
-            print("  %-16s missing in %s -- skipped"
-                  % (label, "baseline" if base is None
-                     else "candidate"))
-        elif base <= 0.0:
-            print("  %-16s baseline %.6g, candidate %.6g "
-                  "(zero baseline, informational)"
-                  % (label, base, cand))
-        else:
-            delta = (cand - base) / base
-            regressed = delta > threshold
-            if regressed:
-                regressions += 1
-            print("  %-16s baseline %.6g -> candidate %.6g "
-                  "(%+.2f%%, limit +%.2f%%)%s"
-                  % (label, base, cand, delta * 100.0,
-                     threshold * 100.0,
-                     "  REGRESSION" if regressed else ""))
-
+        gates.append(("summary", "frame_wall_seconds_p50",
+                      args.telemetry_overhead_pct / 100.0,
+                      "p50 frame time (telemetry overhead)", 2))
     if args.max_serve_p99_regress is not None:
-        label = "serve frame p99"
-        base = metric(baseline, "summary", "serve_frame_p99_seconds")
-        cand = metric(candidate, "summary", "serve_frame_p99_seconds")
-        threshold = args.max_serve_p99_regress
-        if base is None or cand is None:
-            # Non-serve report on either side: the gate does not
-            # apply (lets one smoke harness compare both kinds).
-            print("  %-16s missing in %s -- skipped"
-                  % (label, "baseline" if base is None
-                     else "candidate"))
-        elif base <= 0.0:
-            print("  %-16s baseline %.6g, candidate %.6g "
-                  "(zero baseline, informational)"
-                  % (label, base, cand))
-        else:
-            delta = (cand - base) / base
-            regressed = delta > threshold
-            if regressed:
-                regressions += 1
-            print("  %-16s baseline %.6g -> candidate %.6g "
-                  "(%+.1f%%, limit +%.0f%%)%s"
-                  % (label, base, cand, delta * 100.0,
-                     threshold * 100.0,
-                     "  REGRESSION" if regressed else ""))
+        # Skipped (missing) on non-serve reports, which lets one
+        # smoke harness compare both kinds.
+        gates.append(("summary", "serve_frame_p99_seconds",
+                      args.max_serve_p99_regress, "serve frame p99",
+                      1))
+    regressions = sum(gate_regressed(pairs, *gate) for gate in gates)
 
     print()
     if regressions:

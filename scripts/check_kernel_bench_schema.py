@@ -17,12 +17,7 @@ Checks the report produced by `bench_kernels --metrics-json` (schema
   * every kernel has positive iterations and positive per-iteration
     times;
   * derived fields reconcile: ns_per_item == 1e9 / items_per_second
-    and gb_per_s == bytes_per_second / 1e9 (when present);
-  * the optional per-row "pmu" block (--pmu runs) is well-formed:
-    known counter/derived field names only, ipc reconciles with
-    instructions/cycles, miss rates lie in [0,1], and
-    roofline_fraction reconciles with bytes_per_second /
-    roofline_bytes_per_second.
+    and gb_per_s == bytes_per_second / 1e9 (when present).
 
 Exit status: 0 = valid, 1 = invalid, 2 = usage/parse error.
 Stdlib only.
@@ -164,64 +159,6 @@ def check_kernels(report):
                 require(abs(gbs - bps / 1e9) <= 1e-3 * gbs,
                         "%s gb_per_s %g does not reconcile with "
                         "bytes_per_second %g" % (where, gbs, bps))
-
-        check_row_pmu(where, entry)
-
-
-PMU_COUNTER_NAMES = {
-    "cycles", "instructions", "llc_loads", "llc_misses", "branches",
-    "branch_misses", "task_clock_ns",
-}
-
-PMU_DERIVED_KEYS = {
-    "ipc", "llc_miss_rate", "branch_miss_rate",
-    "task_clock_seconds", "bytes_per_second",
-    "roofline_bytes_per_second", "roofline_fraction",
-}
-
-
-def check_row_pmu(where, entry):
-    """Validate one row's optional `pmu` block. Every counter field
-    is optional (the perf probe degrades per counter and the null
-    backend delivers none), but present fields must be consistent."""
-    if "pmu" not in entry:
-        return
-    pmu = entry["pmu"]
-    where = "%s.pmu" % where
-    if not require(isinstance(pmu, dict),
-                   "%s should be an object" % where):
-        return
-    for key, value in pmu.items():
-        require(key in PMU_COUNTER_NAMES or key in PMU_DERIVED_KEYS,
-                "%s has unknown field %r" % (where, key))
-        require(is_number(value) and value >= 0,
-                "%s.%s should be a non-negative number"
-                % (where, key))
-    for key in ("llc_miss_rate", "branch_miss_rate"):
-        if key in pmu and is_number(pmu[key]):
-            require(0.0 <= pmu[key] <= 1.0,
-                    "%s.%s=%g outside [0,1]" % (where, key, pmu[key]))
-    checks = (
-        ("ipc", "instructions", "cycles"),
-        ("llc_miss_rate", "llc_misses", "llc_loads"),
-        ("branch_miss_rate", "branch_misses", "branches"),
-        ("roofline_fraction", "bytes_per_second",
-         "roofline_bytes_per_second"),
-    )
-    for derived, num, den in checks:
-        if (derived in pmu and num in pmu and den in pmu
-                and is_number(pmu[den]) and pmu[den] > 0):
-            expect = pmu[num] / pmu[den]
-            require(abs(pmu[derived] - expect) <=
-                    1e-3 * max(1e-12, abs(expect)),
-                    "%s.%s=%g does not reconcile with %s/%s=%g"
-                    % (where, derived, pmu[derived], num, den,
-                       expect))
-    # The roofline pair travels together.
-    require(("roofline_fraction" in pmu) ==
-            ("roofline_bytes_per_second" in pmu),
-            "%s has only one of roofline_fraction/"
-            "roofline_bytes_per_second" % where)
 
 
 def main():

@@ -7,8 +7,9 @@
 #     /healthz answers 200 ok;
 #  B. SIGTERM a slambench_cli run mid-flight and validate the crash
 #     dump JSON the fatal-signal handler writes;
-#  C. run the same CLI workload with and without telemetry and gate
-#     the frame-time overhead via bench_compare.py
+#  C. run a short CLI workload alternately without and with
+#     telemetry, five pairs, and gate the median per-pair frame-time
+#     p50 overhead via bench_compare.py
 #     (TELEMETRY_SMOKE_OVERHEAD_PCT, default 25% — generous because
 #     CI frame times are noisy; the flag's own default is 1%).
 #
@@ -208,24 +209,36 @@ echo "telemetry_smoke: phase B ok"
 
 # --- Phase C: telemetry overhead gate -----------------------------
 
-"$cli" --frames 40 --metrics-json base.json > base.log 2>&1 \
-    || { cat base.log >&2; fail "baseline CLI run failed"; }
-"$cli" --frames 40 --metrics-json with_telemetry.json \
-    --telemetry-port 0 > with_telemetry.log 2>&1 \
-    || { cat with_telemetry.log >&2; fail "telemetry CLI run failed"; }
+# Under parallel ctest load two lone runs can meet different load.
+# Short alternated pairs share the load of their moment, and the
+# median over pairs discards the pair a burst hit. QQVGA frames keep
+# the ten runs cheap, and a fixed per-frame cost weighs more against
+# a shorter frame, so the gate loses no sensitivity.
+reports=""
+for pair in 1 2 3 4 5; do
+    "$cli" --frames 16 --width 160 --height 120 \
+        --metrics-json "base$pair.json" > base.log 2>&1 \
+        || { cat base.log >&2; fail "baseline CLI run failed"; }
+    "$cli" --frames 16 --width 160 --height 120 \
+        --metrics-json "with_telemetry$pair.json" \
+        --telemetry-port 0 > with_telemetry.log 2>&1 \
+        || { cat with_telemetry.log >&2; \
+             fail "telemetry CLI run failed"; }
+    reports="$reports base$pair.json with_telemetry$pair.json"
+done
 
 if [ "$have_python" -eq 1 ]; then
-    # Wide standard gates: two independent runs carry scheduling
-    # noise, so only the dedicated overhead gate decides here.
-    python3 "$scripts/bench_compare.py" base.json \
-        with_telemetry.json \
+    # Wide standard gates: only the dedicated overhead gate decides
+    # here. Every gate reads the median over the five pairs.
+    # shellcheck disable=SC2086 # $reports is a list of file names
+    python3 "$scripts/bench_compare.py" $reports \
         --max-frame-time-regress 2.0 --max-ate-regress 2.0 \
         --max-rss-regress 2.0 \
         --telemetry-overhead-pct \
         "${TELEMETRY_SMOKE_OVERHEAD_PCT:-25}" \
         || fail "telemetry overhead gate failed"
 else
-    [ -s with_telemetry.json ] \
+    [ -s with_telemetry1.json ] \
         || fail "telemetry run wrote no report (grep fallback)"
 fi
 echo "telemetry_smoke: phase C ok"

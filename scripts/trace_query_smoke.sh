@@ -13,8 +13,9 @@
 #     "frame" span plus queue_wait and kernel children). Also
 #     exercise the tenant/min_ms/limit query filters and the 404
 #     path for unknown ids.
-#  B. overhead gate: two slambench_cli runs, base vs tracing at the
-#     default 1% sample rate, compared via bench_compare.py's
+#  B. overhead gate: five alternated pairs of short slambench_cli
+#     runs, base vs tracing at the default 1% sample rate, gated on
+#     the median per-pair p50 ratio via bench_compare.py's
 #     --telemetry-overhead-pct gate. Tracing must stay cheap enough
 #     to leave on in production.
 #
@@ -216,23 +217,32 @@ echo "trace_query_smoke: phase A ok (port $port)"
 
 # --- Phase B: tracing overhead gate at default sample rate --------
 
-"$cli" --frames 40 --metrics-json base.json > base.log 2>&1 \
-    || { cat base.log >&2; fail "baseline CLI run failed"; }
-"$cli" --frames 40 --metrics-json traced.json \
-    --trace-requests > traced.log 2>&1 \
-    || { cat traced.log >&2; fail "traced CLI run failed"; }
+# Alternated short pairs, median over pairs: see telemetry_smoke.sh
+# phase C, which this gate mirrors.
+reports=""
+for pair in 1 2 3 4 5; do
+    "$cli" --frames 16 --width 160 --height 120 \
+        --metrics-json "base$pair.json" > base.log 2>&1 \
+        || { cat base.log >&2; fail "baseline CLI run failed"; }
+    "$cli" --frames 16 --width 160 --height 120 \
+        --metrics-json "traced$pair.json" \
+        --trace-requests > traced.log 2>&1 \
+        || { cat traced.log >&2; fail "traced CLI run failed"; }
+    reports="$reports base$pair.json traced$pair.json"
+done
 
 if [ "$have_python" -eq 1 ]; then
-    # Wide standard gates: two independent runs carry scheduling
-    # noise, so only the dedicated overhead gate decides here.
-    python3 "$scripts/bench_compare.py" base.json traced.json \
+    # Wide standard gates: only the dedicated overhead gate decides
+    # here. Every gate reads the median over the five pairs.
+    # shellcheck disable=SC2086 # $reports is a list of file names
+    python3 "$scripts/bench_compare.py" $reports \
         --max-frame-time-regress 2.0 --max-ate-regress 2.0 \
         --max-rss-regress 2.0 \
         --telemetry-overhead-pct \
         "${TRACE_SMOKE_OVERHEAD_PCT:-25}" \
         || fail "request-tracing overhead gate failed"
 else
-    [ -s traced.json ] \
+    [ -s traced1.json ] \
         || fail "traced run wrote no report (grep fallback)"
 fi
 echo "trace_query_smoke: phase B ok"

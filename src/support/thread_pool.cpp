@@ -97,9 +97,8 @@ ThreadPool::submit(TaskGroup &group, std::function<void()> task)
     const char *trace_name = nullptr;
 #if SLAMBENCH_TRACE_ENABLED
     // Attribute worker-side execution to the span open at submission
-    // (e.g. the DSE driver's scope on the submitting thread). PMU
-    // profiling needs the same attribution for its counter spans.
-    if (trace::Tracer::instance().enabled() || pmu::enabled())
+    // (e.g. the DSE driver's scope on the submitting thread).
+    if (trace::Tracer::instance().enabled())
         trace_name = trace::currentSpanName();
 #endif
     enqueue(group, std::move(task), trace_name);
@@ -277,9 +276,8 @@ ThreadPool::parallelForChunked(
     LoopState state{{begin}, end, chunk, &body, nullptr};
 #if SLAMBENCH_TRACE_ENABLED
     // Attribute every chunk (caller- or worker-run) to the span that
-    // dispatched the loop (e.g. a KernelTimer's kernel span). PMU
-    // profiling rides the same Worker spans for counter attribution.
-    if (trace::Tracer::instance().enabled() || pmu::enabled())
+    // dispatched the loop (e.g. a KernelTimer's kernel span).
+    if (trace::Tracer::instance().enabled())
         state.traceName = trace::currentSpanName();
 #endif
 

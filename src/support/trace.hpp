@@ -39,8 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/pmu.hpp"
-
 namespace slambench::support::trace {
 
 /** What a trace event describes; exported as the Chrome `cat` field. */
@@ -192,8 +190,7 @@ class Tracer
  * @return the name of the innermost open span on this thread, or
  * nullptr outside any span. The thread pool uses this to attribute
  * worker-side chunks to the kernel that dispatched them. Maintained
- * by ScopedSpan whenever tracing *or* PMU profiling is armed, so a
- * PMU-only run still attributes worker chunks to their kernel.
+ * by ScopedSpan whenever tracing is enabled.
  */
 const char *currentSpanName();
 
@@ -475,7 +472,7 @@ uint64_t parseTraceId(const std::string &text);
 
 /**
  * RAII arming of the request tracer for one run (the `--trace-*`
- * flag family; mirrors pmu::Session). Disarms on destruction;
+ * flag family). Disarms on destruction;
  * inactive when constructed with @p armed false.
  */
 class RequestTraceSession
@@ -502,11 +499,8 @@ class RequestTraceSession
 
 /**
  * RAII span: records a begin event on construction and the matching
- * end on destruction. Kernel and Worker spans also delimit a PMU
- * counter interval when `--pmu` profiling is armed (support/pmu.hpp),
- * so hardware-counter attribution rides the same span names as the
- * wall-clock timeline. Two relaxed loads when both subsystems are
- * disabled.
+ * end on destruction, and a request span while a request context is
+ * installed. Two relaxed loads when both are disabled.
  */
 class ScopedSpan
 {
@@ -521,31 +515,22 @@ class ScopedSpan
     {
         Tracer &tracer = Tracer::instance();
         const bool traced = tracer.enabled();
-        // PMU attribution covers compute spans only: kernels and
-        // the worker chunks they dispatch. Phase spans would
-        // double-count their kernels' exclusive totals.
-        const bool pmu_active =
-            pmu::enabled() && (cat == Category::Kernel ||
-                               cat == Category::Worker);
         // Request tracing records spans only while a context is
         // installed on this thread (beginRequestSpan checks).
         const bool request =
             requestTracingArmed() &&
             detail::beginRequestSpan(&reqSpanId_, &reqParentId_,
                                      &reqStartNs_);
-        if (!traced && !pmu_active && !request)
+        if (!traced && !request)
             return;
         name_ = name;
         cat_ = cat;
         traced_ = traced;
-        pmuActive_ = pmu_active;
         requestActive_ = request;
-        if (traced || pmu_active)
+        if (traced) {
             detail::pushCurrentSpan(name);
-        if (traced)
             tracer.beginSpan(name, cat);
-        if (pmu_active)
-            pmu::Profiler::instance().beginSpan(name);
+        }
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -555,12 +540,10 @@ class ScopedSpan
     {
         if (!name_)
             return;
-        if (pmuActive_)
-            pmu::Profiler::instance().endSpan();
-        if (traced_)
+        if (traced_) {
             Tracer::instance().endSpan(name_, cat_);
-        if (traced_ || pmuActive_)
             detail::popCurrentSpan();
+        }
         if (requestActive_)
             detail::endRequestSpan(name_, cat_, reqSpanId_,
                                    reqParentId_, reqStartNs_);
@@ -570,7 +553,6 @@ class ScopedSpan
     const char *name_ = nullptr;
     Category cat_ = Category::Phase;
     bool traced_ = false;
-    bool pmuActive_ = false;
     bool requestActive_ = false;
     uint64_t reqSpanId_ = 0;
     uint64_t reqParentId_ = 0;
